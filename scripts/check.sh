@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The local gate: everything the driver checks, in one command.
 #
-#   scripts/check.sh          # tier-1 tests + lint + sanitizer + speedup gate
-#   scripts/check.sh --fast   # skip the sanitizer smoke and the speedup gate
+#   scripts/check.sh          # tier-1 tests + lint + smokes + speedup gate
+#   scripts/check.sh --fast   # tier-1 tests + lint only
 #
 # Exits non-zero on the first failing stage.
 
@@ -81,6 +81,10 @@ if failures:
     sys.exit(1)
 print("outage smoke: detection gates passed")
 EOF
+
+    echo
+    echo "== end-to-end benchmark smoke (map fingerprints, recomputed answers, counters) =="
+    python3 benchmarks/e2e/run.py --smoke
 
     echo
     echo "== parallel speedup gate (workers=2 vs serial, default scale) =="

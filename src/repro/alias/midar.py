@@ -258,33 +258,41 @@ class MidarResolver:
         """
         expected_stride = velocity_a + velocity_b
         tolerance = 0.8 + 0.05 * expected_stride
-        for _ in range(self.config.elimination_rounds):
-            interleaved: list[int] = []
-            per_address: dict[int, list[int]] = {a: [], b: []}
-            total_advance = 0
-            for _ in range(self.config.elimination_train):
-                for address in (a, b):
-                    sample = self._responder.probe(address)
-                    self.probes_sent += 1
-                    if sample is None:
+        probe = self._responder.probe
+        train = self.config.elimination_train
+        sent = 0
+        try:
+            for _ in range(self.config.elimination_rounds):
+                samples_a: list[int] = []
+                samples_b: list[int] = []
+                last: int | None = None
+                total_advance = 0
+                for _ in range(train):
+                    for samples, address in ((samples_a, a), (samples_b, b)):
+                        sample = probe(address)
+                        sent += 1
+                        if sample is None:
+                            return False
+                        # Incremental bounds check: abort the train as
+                        # soon as monotonicity is violated (most
+                        # non-alias pairs fail within the first few
+                        # probes).
+                        if last is not None:
+                            step = (sample - last) % IPID_MODULUS
+                            if step == 0:
+                                return False
+                            total_advance += step
+                            if total_advance >= IPID_MODULUS:
+                                return False
+                        last = sample
+                        samples.append(sample)
+                for samples in (samples_a, samples_b):
+                    stride = velocity_estimate(samples)
+                    if stride is None or abs(stride - expected_stride) > tolerance:
                         return False
-                    # Incremental bounds check: abort the train as soon
-                    # as monotonicity is violated (most non-alias pairs
-                    # fail within the first few probes).
-                    if interleaved:
-                        step = (sample - interleaved[-1]) % IPID_MODULUS
-                        if step == 0:
-                            return False
-                        total_advance += step
-                        if total_advance >= IPID_MODULUS:
-                            return False
-                    interleaved.append(sample)
-                    per_address[address].append(sample)
-            for samples in per_address.values():
-                stride = velocity_estimate(samples)
-                if stride is None or abs(stride - expected_stride) > tolerance:
-                    return False
-        return True
+            return True
+        finally:
+            self.probes_sent += sent
 
     # -- pipeline ------------------------------------------------------
 

@@ -22,6 +22,7 @@ before facilities are compared across sources.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..datasets.ixp_sources import IxpDataSources
 from ..datasets.noc import NocWebsites
@@ -31,6 +32,17 @@ from ..topology.addressing import LongestPrefixMatcher
 from ..topology.facility import Facility, FacilityOperator
 
 __all__ = ["FacilityDatabase"]
+
+#: The association tables a derived database may replace; the
+#: peering-LAN index is always shared (see ``with_tables``).
+_TABLES = (
+    "as_facilities",
+    "ixp_facilities",
+    "ixp_members",
+    "active_ixps",
+    "facility_metro",
+    "campus",
+)
 
 
 @dataclass(slots=True)
@@ -251,10 +263,27 @@ class FacilityDatabase:
     # Degradation (the Figure 8 robustness sweep)
     # ------------------------------------------------------------------
 
+    def with_tables(self, **tables: Any) -> "FacilityDatabase":
+        """A copy with some association tables replaced.
+
+        Keywords name tables from ``as_facilities``, ``ixp_facilities``,
+        ``ixp_members``, ``active_ixps``, ``facility_metro`` and
+        ``campus``; every other table is shallow-copied.  The copy
+        shares this database's peering-LAN index — derived views (the
+        Figure 8 removals, PeeringDB lag) never change an exchange's
+        prefixes — so every database derived from one base shares a
+        single trie and its memoised lookups.
+        """
+        for name in _TABLES:
+            if name not in tables:
+                table = getattr(self, name)
+                tables[name] = dict(table) if isinstance(table, dict) else table
+        return FacilityDatabase(**tables, _ixp_lan_index=self._ixp_lan_index)
+
     def without_facilities(self, removed: set[int]) -> "FacilityDatabase":
         """A copy of the database with ``removed`` facilities erased from
         every association — the Figure 8 experiment's knob."""
-        database = FacilityDatabase(
+        return self.with_tables(
             as_facilities={
                 asn: frozenset(f for f in facilities if f not in removed)
                 for asn, facilities in self.as_facilities.items()
@@ -263,8 +292,6 @@ class FacilityDatabase:
                 ixp_id: frozenset(f for f in facilities if f not in removed)
                 for ixp_id, facilities in self.ixp_facilities.items()
             },
-            ixp_members=dict(self.ixp_members),
-            active_ixps=self.active_ixps,
             facility_metro={
                 fid: metro
                 for fid, metro in self.facility_metro.items()
@@ -276,8 +303,6 @@ class FacilityDatabase:
                 if fid not in removed
             },
         )
-        database._ixp_lan_index = self._ixp_lan_index
-        return database
 
     def all_known_facilities(self) -> frozenset[int]:
         """Every facility referenced by any association."""

@@ -50,6 +50,11 @@ class IpidResponder:
         self._router_velocity: dict[int, float] = {}
         self._iface_counter: dict[int, float] = {}
         self._iface_velocity: dict[int, float] = {}
+        #: Per-address dispatch, ``(mode, router id)``: what a probe to
+        #: the address consults, resolved once from the immutable
+        #: topology (interface -> router -> AS -> mode) and filled
+        #: lazily.  ``mode`` is ``None`` for HOST interfaces.
+        self._dispatch: dict[int, tuple[IPIDMode | None, int]] = {}
 
     def _velocity(self) -> float:
         """IP-ID increments per probe: background traffic rate.
@@ -69,22 +74,22 @@ class IpidResponder:
         router always observe strictly increasing (mod 2^16) values.
         """
         self._clock += 1
-        interface = self._topology.interfaces.get(address)
-        if interface is None:
-            return None
-        router = self._topology.routers[interface.router_id]
-        if interface.kind is InterfaceKind.HOST:
-            # Servers are separate devices: their IP-ID stream tells
-            # nothing about the gateway router, so MIDAR must discard
-            # them rather than alias them onto the router.
-            return self._rng.randrange(IPID_MODULUS)
-        mode = self._topology.ases[router.asn].ipid_mode
-        if mode is IPIDMode.UNRESPONSIVE:
-            return None
-        if mode is IPIDMode.CONSTANT:
-            return 0
-        if mode is IPIDMode.RANDOM:
-            return self._rng.randrange(IPID_MODULUS)
+        route = self._dispatch.get(address)
+        if route is None:
+            route = self._route(address)
+            if route is None:
+                return None
+        mode, router_id = route
+        if mode is IPIDMode.SHARED_COUNTER:
+            # One counter per router; every probe to any of the
+            # router's interfaces advances the same counter.
+            counter = self._router_counter.get(router_id)
+            if counter is None:
+                counter = float(self._rng.randrange(IPID_MODULUS))
+                self._router_velocity[router_id] = self._velocity()
+            counter += self._router_velocity[router_id]
+            self._router_counter[router_id] = counter
+            return int(counter) % IPID_MODULUS
         if mode is IPIDMode.PER_INTERFACE:
             counter = self._iface_counter.get(address)
             if counter is None:
@@ -93,15 +98,30 @@ class IpidResponder:
             counter += self._iface_velocity[address]
             self._iface_counter[address] = counter
             return int(counter) % IPID_MODULUS
-        # SHARED_COUNTER: one counter per router; every probe to any of
-        # the router's interfaces advances the same counter.
-        counter = self._router_counter.get(router.router_id)
-        if counter is None:
-            counter = float(self._rng.randrange(IPID_MODULUS))
-            self._router_velocity[router.router_id] = self._velocity()
-        counter += self._router_velocity[router.router_id]
-        self._router_counter[router.router_id] = counter
-        return int(counter) % IPID_MODULUS
+        if mode is None or mode is IPIDMode.RANDOM:
+            # Servers (mode None) are separate devices: their IP-ID
+            # stream tells nothing about the gateway router, so MIDAR
+            # must discard them rather than alias them onto the router.
+            return self._rng.randrange(IPID_MODULUS)
+        if mode is IPIDMode.CONSTANT:
+            return 0
+        return None  # UNRESPONSIVE
+
+    def _route(self, address: int) -> tuple[IPIDMode | None, int] | None:
+        """Resolve and memoise ``address``'s dispatch; ``None`` (and no
+        memo entry) for an address the topology does not know."""
+        interface = self._topology.interfaces.get(address)
+        if interface is None:
+            return None
+        router = self._topology.routers[interface.router_id]
+        mode = (
+            None
+            if interface.kind is InterfaceKind.HOST
+            else self._topology.ases[router.asn].ipid_mode
+        )
+        route = (mode, router.router_id)
+        self._dispatch[address] = route
+        return route
 
     def probe_train(self, address: int, count: int = 3) -> list[int | None]:
         """Send ``count`` back-to-back probes to one address."""

@@ -90,6 +90,33 @@ class RttModel:
             rtt += draw.uniform(0.0, self.config.congestion_ms)
         return rtt
 
+    def min_sample_ms(self, one_way_ms: float, rng: Random, samples: int) -> float:
+        """Fastest of ``samples`` noisy RTT samples (the reported RTT).
+
+        The traceroute engine's per-hop kernel: bit-identical to
+        ``min(sample_from_one_way(one_way_ms, rng) for _ in
+        range(samples))`` — the same draws in the same order, the same
+        float expressions (``random.uniform(0.0, b)`` is ``0.0 + (b -
+        0.0) * random()``), and the first minimum kept — without a
+        generator and two method calls per sample.
+        """
+        if samples < 1:
+            raise ValueError(f"need at least one RTT sample, got {samples}")
+        random = rng.random
+        config = self.config
+        jitter = config.jitter_ms - 0.0
+        congestion_prob = config.congestion_prob
+        congestion = config.congestion_ms - 0.0
+        base = 2.0 * one_way_ms
+        best = 0.0
+        for index in range(samples):
+            rtt = base + (0.0 + jitter * random())
+            if random() < congestion_prob:
+                rtt += 0.0 + congestion * random()
+            if index == 0 or rtt < best:
+                best = rtt
+        return best
+
     def metro_local_bound_ms(self) -> float:
         """Upper bound on the RTT step between two hops in one metro.
 

@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING
 from ..columnar import TraceArrays
 from ..exec.shard import substream
 from ..sanitize import assert_rng
-from ..topology.geo import GeoLocation
 from ..topology.network import InterfaceKind
 from ..topology.routing import Forwarder
 from ..topology.topology import Topology
@@ -174,6 +173,10 @@ class TracerouteEngine:
         #: Optional chaos layer; every finished trace passes through its
         #: :meth:`~repro.faults.injector.FaultInjector.perturb_trace`.
         self.fault_injector = fault_injector
+        #: One-way cost (ms) of each directed router-to-router step taken
+        #: so far: a pure function of two immutable router locations
+        #: and the RTT model's frozen config, filled lazily.
+        self._step_ms: dict[tuple[int, int], float] = {}
 
     @staticmethod
     def _flow_id(src_router: int, dst_address: int, probe: int) -> int:
@@ -250,6 +253,19 @@ class TracerouteEngine:
         for key, delta in issue_counts.items():
             self._issue_counts[key] = self._issue_counts.get(key, 0) + delta
 
+    def _step(self, here: int, there: int) -> float:
+        """Memoised one-way cost of extending a path from ``here`` to
+        ``there`` (:meth:`RttModel.step_one_way_ms`, bit for bit)."""
+        key = (here, there)
+        cost = self._step_ms.get(key)
+        if cost is None:
+            cost = self._rtt.step_one_way_ms(
+                self._topology.router_location(here),
+                self._topology.router_location(there),
+            )
+            self._step_ms[key] = cost
+        return cost
+
     def _trace_rng(self, source_id: str, dst_address: int):
         """The keyed noise substream for one probe (and bump ``seq``)."""
         key = (source_id, dst_address)
@@ -316,7 +332,6 @@ class TracerouteEngine:
             )
 
         hops: list[TraceHop] = []
-        here: GeoLocation = self._topology.router_location(src_router)
         one_way_ms = self._rtt.config.access_ms / 2.0
         reached = False
         # Host/server targets sit on a LAN *behind* their router: the
@@ -326,45 +341,50 @@ class TracerouteEngine:
         # campaigns target server addresses (Section 5's hitlists).
         dst_interface = self._topology.interfaces[dst_address]
         host_target = dst_interface.kind is InterfaceKind.HOST
+        # The per-hop kernel: names bound once per trace, step costs
+        # memoised, RTT sampling in one call — same draws, same floats.
+        config = self.config
+        max_ttl = config.max_ttl
+        hop_loss_prob = config.hop_loss_prob
+        samples = config.rtt_samples
+        min_sample_ms = self._rtt.min_sample_ms
+        random = rng.random
+        step = self._step
+        last_hop = path[-1]
+        previous = src_router
         # path[0] is the source router itself; it does not appear as a hop.
         for ttl, router_hop in enumerate(path[1:], start=1):
-            if ttl > self.config.max_ttl:
+            if ttl > max_ttl:
                 break
-            there = self._topology.router_location(router_hop.router_id)
-            one_way_ms += self._rtt.step_one_way_ms(here, there)
-            here = there
-            is_last = router_hop is path[-1]
+            router_id = router_hop.router_id
+            one_way_ms += step(previous, router_id)
+            previous = router_id
+            is_last = router_hop is last_hop
             if is_last and not host_target:
                 # The destination answers the echo from the probed
                 # address itself, regardless of ingress interface.
                 address: int | None = dst_address
             else:
                 address = router_hop.ingress_address
-            if address is not None and rng.random() < self.config.hop_loss_prob:
+            if address is not None and random() < hop_loss_prob:
                 address = None
             rtt: float | None = None
             if address is not None:
-                rtt = min(
-                    self._rtt.sample_from_one_way(one_way_ms, rng=rng)
-                    for _ in range(self.config.rtt_samples)
-                )
+                rtt = min_sample_ms(one_way_ms, rng, samples)
             hops.append(
                 TraceHop(
                     ttl=ttl,
                     address=address,
                     rtt_ms=rtt,
-                    router_id=router_hop.router_id,
+                    router_id=router_id,
                 )
             )
             if is_last and not host_target and address is not None:
                 reached = True
-        if host_target and hops and len(path) - 1 <= self.config.max_ttl:
+        if host_target and hops and len(path) - 1 <= max_ttl:
             # The host's own echo, one hop behind its gateway router.
             one_way_ms += self._rtt.config.per_hop_processing_ms + 0.05
-            rtt = min(
-                self._rtt.sample_from_one_way(one_way_ms, rng=rng)
-                for _ in range(self.config.rtt_samples)
-            )
+            rtt = min_sample_ms(one_way_ms, rng, samples)
             hops.append(
                 TraceHop(
                     ttl=hops[-1].ttl + 1,
@@ -430,14 +450,12 @@ class TracerouteEngine:
             rtt: float | None = None
             if address is not None:
                 one_way = self._rtt.config.access_ms / 2.0
-                here = self._topology.router_location(src_router)
+                previous = src_router
                 for step in path[1 : min(ttl, len(path) - 1) + 1]:
-                    there = self._topology.router_location(step.router_id)
-                    one_way += self._rtt.step_one_way_ms(here, there)
-                    here = there
-                rtt = min(
-                    self._rtt.sample_from_one_way(one_way, rng=rng)
-                    for _ in range(self.config.rtt_samples)
+                    one_way += self._step(previous, step.router_id)
+                    previous = step.router_id
+                rtt = self._rtt.min_sample_ms(
+                    one_way, rng, self.config.rtt_samples
                 )
             hops.append(
                 TraceHop(

@@ -546,9 +546,10 @@ class MapService:
 
         AS departures stay listed until their ``db_epoch`` passes and
         lagged arrivals appear early — the paper's stale-constraint
-        reality.  Views with the same lag state share one copy (the
-        index and every untouched table are shared with the base, so a
-        lag change costs one membership-dict copy, nothing more).
+        reality.  Views with the same lag state share one copy, and
+        every copy shares the base's peering-LAN index
+        (:meth:`FacilityDatabase.with_tables`), so a lag change costs a
+        membership rebuild plus shallow table copies, never a new trie.
         """
         base = self.environment.facility_db
         if not view.db_hidden and not view.db_added:
@@ -557,15 +558,9 @@ class MapService:
         cached = cache.get(key)
         if cached is not None:
             return cached
-        database = FacilityDatabase(
-            as_facilities=lagged_membership(base.as_facilities, view),
-            ixp_facilities=dict(base.ixp_facilities),
-            ixp_members=dict(base.ixp_members),
-            active_ixps=base.active_ixps,
-            facility_metro=dict(base.facility_metro),
-            campus=dict(base.campus),
+        database = base.with_tables(
+            as_facilities=lagged_membership(base.as_facilities, view)
         )
-        database._ixp_lan_index = base._ixp_lan_index
         cache[key] = database
         return database
 

@@ -227,6 +227,9 @@ class LongestPrefixMatcher(Generic[V]):
     def __init__(self) -> None:
         self._root: _TrieNode[V] = _TrieNode()
         self._size = 0
+        #: ``lookup`` answers per address, valid until the next
+        #: ``insert``; bounded by the distinct addresses looked up.
+        self._memo: dict[int, V | None] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -245,11 +248,23 @@ class LongestPrefixMatcher(Generic[V]):
             self._size += 1
         node.value = value
         node.has_value = True
+        self._memo.clear()
 
     def lookup(self, address: int) -> V | None:
-        """Value of the longest prefix covering ``address``; ``None`` if none."""
+        """Value of the longest prefix covering ``address``; ``None`` if none.
+
+        Memoised per address: the trie only changes through
+        :meth:`insert`, which drops every memoised answer.  Invalid
+        addresses raise before anything is memoised.
+        """
+        try:
+            return self._memo[address]
+        except KeyError:
+            pass
         match = self.lookup_prefix(address)
-        return match[1] if match is not None else None
+        value = match[1] if match is not None else None
+        self._memo[address] = value
+        return value
 
     def lookup_prefix(self, address: int) -> tuple[Prefix, V] | None:
         """Longest matching ``(prefix, value)`` pair for ``address``."""

@@ -213,8 +213,16 @@ class Forwarder:
             ]
             neighbors.sort(key=lambda adj: adj.neighbor_router)
             self._backbone[router_id] = neighbors
-        self._intra_cache: dict[tuple[int, int], list[RouterHop] | None] = {}
+        self._intra_cache: dict[
+            tuple[int, int, int], tuple[RouterHop, ...] | None
+        ] = {}
         self._distance_cache: dict[tuple[int, int], float] = {}
+        #: Hot-potato exits, (router, this AS, next AS) -> (egress
+        #: router, ingress router, crossing hop): a pure function of the
+        #: immutable topology (about 700 keys on the small world).
+        self._border_cache: dict[
+            tuple[int, int, int], tuple[int, int, RouterHop]
+        ] = {}
 
     @property
     def routes(self) -> RouteComputer:
@@ -253,16 +261,15 @@ class Forwarder:
         for position in range(len(as_path) - 1):
             this_asn = as_path[position]
             next_asn = as_path[position + 1]
-            link = self._select_border_link(current_router, this_asn, next_asn)
-            if link is None:
+            border = self._border_step(current_router, this_asn, next_asn)
+            if border is None:
                 return None  # pragma: no cover - link always exists
-            egress_router, _ = link.side_of(this_asn)
-            ingress_router, _ = link.side_of(next_asn)
+            egress_router, ingress_router, crossing = border
             intra = self._intra_as_path(current_router, egress_router, flow_id)
             if intra is None:
                 return None  # pragma: no cover - backbone is connected
             path.extend(intra)
-            path.append(self._crossing_hop(link, this_asn, next_asn))
+            path.append(crossing)
             current_router = ingress_router
         intra = self._intra_as_path(current_router, dest_router.router_id, flow_id)
         if intra is None:
@@ -271,6 +278,26 @@ class Forwarder:
         return path
 
     # ------------------------------------------------------------------
+
+    def _border_step(
+        self, current_router: int, this_asn: int, next_asn: int
+    ) -> tuple[int, int, RouterHop] | None:
+        """Memoised hot-potato exit: (egress router, ingress router,
+        crossing hop) of the border link :meth:`_select_border_link`
+        picks from ``current_router``."""
+        key = (current_router, this_asn, next_asn)
+        border = self._border_cache.get(key)
+        if border is None:
+            link = self._select_border_link(current_router, this_asn, next_asn)
+            if link is None:
+                return None  # pragma: no cover - link always exists
+            border = (
+                link.side_of(this_asn)[0],
+                link.side_of(next_asn)[0],
+                self._crossing_hop(link, this_asn, next_asn),
+            )
+            self._border_cache[key] = border
+        return border
 
     def _select_border_link(
         self, current_router: int, this_asn: int, next_asn: int
@@ -321,9 +348,12 @@ class Forwarder:
 
     def _intra_as_path(
         self, src_router: int, dest_router: int, flow_id: int = 0
-    ) -> list[RouterHop] | None:
+    ) -> tuple[RouterHop, ...] | None:
         """Shortest backbone path (excluding ``src_router``, including
         ``dest_router``); hops carry backbone ingress interfaces.
+
+        Memoised per (source, destination, flow) as an immutable tuple,
+        shared by every caller (callers only ``extend`` from it).
 
         When several shortest paths exist (backbone chords), the ECMP
         tie-break hashes ``flow_id`` with the router id, exactly like a
@@ -331,11 +361,10 @@ class Forwarder:
         flows.
         """
         if src_router == dest_router:
-            return []
+            return ()
         cache_key = (src_router, dest_router, flow_id)
         if cache_key in self._intra_cache:
-            cached = self._intra_cache[cache_key]
-            return list(cached) if cached is not None else None
+            return self._intra_cache[cache_key]
         # BFS recording *all* minimal-distance predecessors.
         distance = {src_router: 0}
         predecessors: dict[int, list] = {}
@@ -372,5 +401,6 @@ class Forwarder:
             )
             cursor = parent
         hops.reverse()
-        self._intra_cache[cache_key] = list(hops)
-        return hops
+        path = tuple(hops)
+        self._intra_cache[cache_key] = path
+        return path

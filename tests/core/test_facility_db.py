@@ -130,3 +130,22 @@ class TestAssembly:
         for facility_id, metro in small_env.facility_db.facility_metro.items():
             resolved = catalogue.get(metro)
             assert resolved is not None and resolved.name == metro
+
+
+class TestDerivedTables:
+    def test_with_tables_replaces_membership_and_shares_lan_index(self, toy_db):
+        lagged = toy_db.with_tables(as_facilities={10: frozenset({5})})
+        assert lagged.facilities_of(10) == frozenset({5})
+        assert toy_db.facilities_of(10) == frozenset({1, 2, 5})
+        assert lagged.facilities_of_ixp(100) == toy_db.facilities_of_ixp(100)
+        assert lagged.ixp_members is not toy_db.ixp_members
+        assert lagged._ixp_lan_index is toy_db._ixp_lan_index
+        assert lagged.ixp_of_address(IXP_LAN.first + 5) == 100
+
+    def test_without_facilities_shares_lan_index(self, toy_db):
+        degraded = toy_db.without_facilities({2})
+        assert degraded._ixp_lan_index is toy_db._ixp_lan_index
+
+    def test_with_tables_rejects_unknown_names(self, toy_db):
+        with pytest.raises(TypeError, match="_ixp_lan_index"):
+            toy_db.with_tables(_ixp_lan_index=None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from repro.measurement.ipid import IPID_MODULUS, IpidResponder
@@ -116,3 +118,70 @@ class TestModes:
             (cur - prev) % IPID_MODULUS for prev, cur in zip(train, train[1:])
         ]
         assert max(steps) - min(steps) <= 1  # float accumulation quantised
+
+
+def _reference_samples(topology, seed, addresses):
+    """IP-ID samples from a per-call classifier: every probe walks
+    interface -> router -> AS -> mode afresh, with the responder's RNG
+    draws in the responder's order.  The oracle for the memoised
+    dispatch in :meth:`IpidResponder.probe`."""
+    rng = Random(seed)
+    router_counter: dict[int, float] = {}
+    router_velocity: dict[int, float] = {}
+    iface_counter: dict[int, float] = {}
+    iface_velocity: dict[int, float] = {}
+    samples = []
+    for address in addresses:
+        interface = topology.interfaces.get(address)
+        if interface is None:
+            samples.append(None)
+            continue
+        router = topology.routers[interface.router_id]
+        if interface.kind is InterfaceKind.HOST:
+            samples.append(rng.randrange(IPID_MODULUS))
+            continue
+        mode = topology.ases[router.asn].ipid_mode
+        if mode is IPIDMode.UNRESPONSIVE:
+            samples.append(None)
+        elif mode is IPIDMode.CONSTANT:
+            samples.append(0)
+        elif mode is IPIDMode.RANDOM:
+            samples.append(rng.randrange(IPID_MODULUS))
+        else:
+            key = address if mode is IPIDMode.PER_INTERFACE else router.router_id
+            counters, velocities = (
+                (iface_counter, iface_velocity)
+                if mode is IPIDMode.PER_INTERFACE
+                else (router_counter, router_velocity)
+            )
+            counter = counters.get(key)
+            if counter is None:
+                counter = float(rng.randrange(IPID_MODULUS))
+                velocities[key] = rng.uniform(1.0, 9.0)
+            counter += velocities[key]
+            counters[key] = counter
+            samples.append(int(counter) % IPID_MODULUS)
+    return samples
+
+
+class TestDispatchMemo:
+    def test_mixed_modes_match_per_call_classification(self, small_topology):
+        picks: list[int] = []
+        for mode in IPIDMode:
+            found = routers_with_mode(small_topology, mode)
+            assert found, f"small topology lacks a {mode.value} router"
+            picks.extend(found[0][1][:2])  # two interfaces of one router
+        hosts = [
+            address
+            for address, interface in sorted(small_topology.interfaces.items())
+            if interface.kind is InterfaceKind.HOST
+        ]
+        picks.extend(hosts[:2])
+        picks.append(1)  # not an interface of the topology
+        # Interleave repeats, so memo hits mix with first-time lookups.
+        addresses = picks + picks[::-1] + picks[::2] + picks
+        responder = IpidResponder(small_topology, seed=9)
+        observed = [responder.probe(address) for address in addresses]
+        assert observed == _reference_samples(small_topology, 9, addresses)
+        assert any(sample is None for sample in observed)
+        assert 0 in observed

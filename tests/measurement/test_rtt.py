@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from repro.measurement.rtt import RttConfig, RttModel
@@ -59,6 +61,28 @@ class TestSampling:
         base = model.path_rtt_ms([LONDON, FRANKFURT])
         samples = [model.sample_rtt_ms([LONDON, FRANKFURT]) for _ in range(20)]
         assert max(samples) > base + 1.0
+
+
+class TestMinSampleKernel:
+    @pytest.mark.parametrize("samples", [1, 2, 3, 5])
+    def test_bit_identical_to_min_of_samples(self, samples):
+        # High congestion odds so spikes land on every position.
+        model = RttModel(RttConfig(congestion_prob=0.4), seed=1)
+        for seed in range(200):
+            one_way = 0.5 + seed * 0.731
+            reference_rng, kernel_rng = Random(seed), Random(seed)
+            expected = min(
+                model.sample_from_one_way(one_way, rng=reference_rng)
+                for _ in range(samples)
+            )
+            observed = model.min_sample_ms(one_way, kernel_rng, samples)
+            assert repr(observed) == repr(expected)
+            # Same draws consumed: the streams stay in lockstep.
+            assert kernel_rng.random() == reference_rng.random()
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(ValueError):
+            RttModel(seed=1).min_sample_ms(1.0, Random(0), 0)
 
 
 class TestMetroLocalBound:

@@ -1,0 +1,137 @@
+"""Golden pins on the measurement substrate's output bytes.
+
+The identity gates elsewhere compare engines with each other over one
+substrate (incremental vs oracle CFS, stream vs batch, workers vs
+serial), so a change to the substrate itself — the traceroute engine,
+the IP-ID responder, the prefix tries, MIDAR — moves both sides at once
+and passes.  These pins compare against fixed digests instead: the
+small world at seed 0 must produce exactly these traces, alias sets,
+and maps.  A substrate optimisation is only sound if every pin holds
+unchanged.
+
+Regenerate a digest only for a deliberate behaviour change, and say so
+in the change log.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.checkpoint import config_fingerprint
+from repro.core import PipelineConfig, build_environment
+from repro.measurement.traceroute import TracerouteConfig, TracerouteEngine
+from repro.serve import MapService, build_snapshot
+from repro.topology.churn import ChurnConfig, plan_churn
+
+#: sha256 over every initial-campaign trace and hop (TTL, address, rtt repr).
+CORPUS_SHA256 = "32cab2df3fdc07926df7769332ac944b1a24239467e7a936553cfdaa20d10555"
+CORPUS_TRACES = 2843
+#: MIDAR over the corpus's responsive addresses on a fresh environment.
+ALIAS_SHA256 = "ce1dba0ffb0b867bf558c93b1e2be976cd3b369bdc8e7d9226bf885e419e2204"
+ALIAS_SETS = 140
+ALIAS_PROBES = 83341
+#: Content fingerprint of the batch map (campaign + CFS, small, seed 0).
+BATCH_FINGERPRINT = (
+    "619370b77b9baf62cf403d7c015194676fae8d0bbf9e68a7941e276a717e38d5"
+)
+#: Classic (non-Paris) traceroute over a fixed grid of sources x targets.
+CLASSIC_SHA256 = "fa0e55c2a0183957232b66b4bc2d476e294bb892d8105ebd0421840231430859"
+#: Per-epoch fingerprints of the churned stream (plan seed 2, 4 epochs).
+CHURN_EPOCHS = 4
+CHURN_PLAN_SEED = 2
+CHURN_FINGERPRINTS = (
+    "91a3d6ccd37b11f28fd45d95b616a6fe58c00ce6139c995ea92cee368554c12c",
+    "b5f1d8c3288596431343bf48c67f44ac0d2f5b92504c78c272774a4ac79741b3",
+    "12b4d6e9b0219ee31f057cbd34cc7e5ae4af8588e01bf58ff0e9395197c7d2cf",
+    "f9183b9e10c53a68d9647477802c4ce92f479877fe8cbba994c90fbb6436c9cd",
+)
+
+
+def _config() -> PipelineConfig:
+    return PipelineConfig.small(seed=0)
+
+
+def _corpus_digest(traces) -> str:
+    digest = hashlib.sha256()
+    for trace in traces:
+        digest.update(
+            f"{trace.source_id}|{trace.platform}|{trace.src_asn}|"
+            f"{trace.dst_address}|{trace.reached}\n".encode()
+        )
+        for hop in trace.hops:
+            digest.update(f"{hop.ttl} {hop.address} {hop.rtt_ms!r}\n".encode())
+    return digest.hexdigest()
+
+
+def _alias_digest(alias_sets) -> str:
+    digest = hashlib.sha256()
+    for members in sorted(sorted(group) for group in alias_sets.sets):
+        digest.update((" ".join(map(str, members)) + "\n").encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def batch_run():
+    """Initial campaign and converged CFS over one fresh environment."""
+    env = build_environment(config=_config())
+    corpus = env.run_campaign()
+    initial = list(corpus.traces)
+    result = env.run_cfs(corpus)
+    snapshot = build_snapshot(
+        result,
+        epoch=0,
+        final=True,
+        seed=env.config.seed,
+        config_fingerprint=config_fingerprint(env.config),
+        traces_ingested=len(corpus),
+    )
+    return initial, snapshot
+
+
+class TestSubstrateGolden:
+    def test_initial_campaign_corpus(self, batch_run):
+        initial, _ = batch_run
+        assert len(initial) == CORPUS_TRACES
+        assert _corpus_digest(initial) == CORPUS_SHA256
+
+    def test_midar_over_corpus_addresses(self, batch_run):
+        initial, _ = batch_run
+        addresses = sorted(
+            {address for trace in initial for address in trace.responsive_addresses()}
+        )
+        # A fresh environment: the IP-ID responder is stateful, and the
+        # batch run above already probed the shared one.
+        midar = build_environment(config=_config()).new_midar()
+        alias_sets = midar.resolve(addresses)
+        assert (len(alias_sets), midar.probes_sent) == (ALIAS_SETS, ALIAS_PROBES)
+        assert _alias_digest(alias_sets) == ALIAS_SHA256
+
+    def test_batch_final_fingerprint(self, batch_run):
+        _, snapshot = batch_run
+        assert snapshot.fingerprint == BATCH_FINGERPRINT
+
+    def test_classic_traceroute_grid(self):
+        topology = build_environment(config=_config()).topology
+        engine = TracerouteEngine(
+            topology, config=TracerouteConfig(paris=False), seed=0
+        )
+        traces = [
+            engine.trace(source, target)
+            for source in sorted(topology.routers)[::37]
+            for target in sorted(topology.interfaces)[::41]
+        ]
+        assert _corpus_digest(traces) == CLASSIC_SHA256
+
+    def test_churned_epoch_fingerprints(self):
+        service = MapService(_config())
+        plan = plan_churn(
+            service.environment.topology,
+            CHURN_EPOCHS,
+            ChurnConfig.moderate(),
+            CHURN_PLAN_SEED,
+        )
+        handle = service.run_stream(CHURN_EPOCHS, churn=plan)
+        fingerprints = tuple(s.fingerprint for s in handle.snapshots)
+        assert fingerprints == CHURN_FINGERPRINTS

@@ -225,6 +225,29 @@ class TestLongestPrefixMatcher:
         with pytest.raises(ValueError):
             trie.lookup(-1)
 
+    def test_insert_invalidates_memoised_lookup(self):
+        trie = LongestPrefixMatcher()
+        trie.insert(Prefix.parse("10.0.0.0/8"), "big")
+        address = ip_to_int("10.1.2.3")
+        assert trie.lookup(address) == "big"
+        trie.insert(Prefix.parse("10.1.0.0/16"), "small")
+        assert trie.lookup(address) == "small"
+
+    def test_insert_invalidates_memoised_miss(self):
+        trie = LongestPrefixMatcher()
+        address = ip_to_int("10.1.2.3")
+        assert trie.lookup(address) is None
+        trie.insert(Prefix.parse("10.0.0.0/8"), "big")
+        assert trie.lookup(address) == "big"
+
+    @pytest.mark.parametrize("address", [-1, MAX_IPV4 + 1])
+    def test_out_of_range_raises_on_every_call(self, address):
+        trie = LongestPrefixMatcher()
+        trie.insert(Prefix(0, 0), "default")
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                trie.lookup(address)
+
     def test_covers(self):
         trie = LongestPrefixMatcher()
         trie.insert(Prefix.parse("10.0.0.0/8"), 1)
