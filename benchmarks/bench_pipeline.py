@@ -10,11 +10,10 @@ Standalone smoke mode (no pytest-benchmark needed)::
 
     python benchmarks/bench_pipeline.py --quick
 
-runs the engine comparison on a few small seeds plus a columnar-vs-
-object extraction smoke, a workers-vs-serial speedup curve (1/2/4
-workers, with ``cores_limited`` recorded on single-CPU hosts), a
-kill-one-worker-and-recover supervisor smoke, and a checkpoint/resume
-smoke, checks the inferences stay byte-identical throughout, and
+runs the engine comparison on a few small seeds plus a
+workers-vs-serial speedup curve (1/2/4 workers, with ``cores_limited``
+recorded on single-CPU hosts), a kill-one-worker-and-recover
+supervisor smoke, and a checkpoint/resume smoke, checks the inferences stay byte-identical throughout, and
 writes ``BENCH_pipeline.json`` next to the repository root.
 """
 
@@ -227,36 +226,6 @@ def _workers_smoke(scale: str) -> dict:
     }
 
 
-def _columnar_smoke(scale: str) -> dict:
-    """Columnar hot paths vs the dataclass walk, serial, one seed.
-
-    The columnar engine must be byte-identical to the object path (the
-    gate); the recorded speedup tracks what the flat-array scan buys on
-    top of the incremental engine.
-    """
-    rows: dict[str, dict] = {}
-    exports = {}
-    for name, columnar in (("columnar", True), ("objects", False)):
-        env = build_environment(config=PipelineConfig.for_scale(scale, seed=0))
-        corpus = env.run_campaign()
-        started = time.perf_counter()
-        result = env.run_cfs(
-            corpus, cfs_config=env.config.cfs.replace(columnar=columnar)
-        )
-        elapsed = time.perf_counter() - started
-        rows[name] = {"cfs_seconds": round(elapsed, 3)}
-        exports[name] = _comparable_export(env, result)
-    identical = exports["columnar"] == exports["objects"]
-    speedup = rows["objects"]["cfs_seconds"] / max(
-        rows["columnar"]["cfs_seconds"], 1e-9
-    )
-    return {
-        "identical": identical,
-        "speedup": round(speedup, 3),
-        **rows,
-    }
-
-
 def _supervisor_smoke(scale: str) -> dict:
     """Kill-one-worker-and-recover: the supervisor's contract in one bit.
 
@@ -384,14 +353,16 @@ def _sanitizer_smoke(scale: str) -> tuple[dict, bool]:
     import dataclasses
 
     from repro import sanitize
-    from repro.core.pipeline import PipelineConfig, run_pipeline
+    from repro.api import run_pipeline
 
     config = PipelineConfig.for_scale(scale, seed=QUICK_SEEDS[0])
     before = len(sanitize.violations())
     started = time.perf_counter()
-    sanitized = run_pipeline(dataclasses.replace(config, sanitize=True))
+    sanitized = run_pipeline(
+        config=dataclasses.replace(config, sanitize=True)
+    )
     seconds = time.perf_counter() - started
-    plain = run_pipeline(config)
+    plain = run_pipeline(config=config)
     violations = len(sanitize.violations()) - before
     identical = _comparable_export(
         sanitized.environment, sanitized.cfs_result
@@ -432,15 +403,6 @@ def quick_smoke(output: str, scale: str = "small") -> int:
             f"speedup={row['speedup']}x"
         )
         failed = failed or not row["identical"]
-    report["columnar"] = columnar_row = _columnar_smoke(scale)
-    columnar_status = "ok" if columnar_row["identical"] else "DIVERGED"
-    print(
-        f"columnar: {columnar_status} "
-        f"columnar={columnar_row['columnar']['cfs_seconds']}s "
-        f"objects={columnar_row['objects']['cfs_seconds']}s "
-        f"speedup={columnar_row['speedup']}x"
-    )
-    failed = failed or not columnar_row["identical"]
     report["workers"] = workers_row = _workers_smoke(scale)
     workers_status = "ok" if workers_row["identical"] else "DIVERGED"
     curve = " ".join(

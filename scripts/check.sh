@@ -31,10 +31,10 @@ import dataclasses
 import sys
 
 from repro import sanitize
-from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.api import PipelineConfig, run_pipeline
 
 run_pipeline(
-    dataclasses.replace(PipelineConfig.small(seed=0), sanitize=True)
+    config=dataclasses.replace(PipelineConfig.small(seed=0), sanitize=True)
 )
 violations = sanitize.violations()
 if violations:

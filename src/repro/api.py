@@ -13,9 +13,6 @@ Batch entry points accept configuration as **keywords only**::
     result = run_pipeline(seed=7, scale="small")
     print(result.cfs_result.resolved_fraction())
 
-(The historical positional-config form still works but emits a
-:class:`DeprecationWarning`; pass ``config=`` instead.)
-
 The serving surface mirrors the batch one:
 
 * :func:`serve_map` runs the always-on map service — streamed epoch
@@ -31,7 +28,6 @@ already fixes the seed and scale.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace as _dataclass_replace
 from typing import Any
 
@@ -165,30 +161,8 @@ def _resolve_config(
     return PipelineConfig.for_scale(scale or "small", seed=seed or 0)
 
 
-def _shim_positional_config(args: tuple, config: Any, what: str) -> Any:
-    """Accept the historical positional-config form, with a warning."""
-    if not args:
-        return config
-    if len(args) > 1:
-        raise TypeError(
-            f"{what}() takes at most one positional argument "
-            f"({len(args)} given); everything else is keyword-only"
-        )
-    if config is not None:
-        raise TypeError(
-            f"{what}() got the config both positionally and as config="
-        )
-    warnings.warn(
-        f"passing the config to {what}() positionally is deprecated; "
-        f"use {what}(config=...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return args[0]
-
-
 def run_pipeline(
-    *args: PipelineConfig,
+    *,
     config: PipelineConfig | None = None,
     seed: int | None = None,
     scale: str | None = None,
@@ -222,7 +196,6 @@ def run_pipeline(
     supervisor's per-shard progress deadline, and ``progress`` receives
     human-readable stage/checkpoint notices.
     """
-    config = _shim_positional_config(args, config, "run_pipeline")
     resolved = _resolve_config(config, seed, scale)
     if faults is not None:
         resolved = _dataclass_replace(resolved, faults=faults)
@@ -240,7 +213,7 @@ def run_pipeline(
 
 
 def build_environment(
-    *args: PipelineConfig,
+    *,
     config: PipelineConfig | None = None,
     seed: int | None = None,
     scale: str | None = None,
@@ -255,7 +228,6 @@ def build_environment(
     per-shard deadline, on top of the resolved config (see
     :func:`run_pipeline`).
     """
-    config = _shim_positional_config(args, config, "build_environment")
     resolved = _resolve_config(config, seed, scale)
     if faults is not None:
         resolved = _dataclass_replace(resolved, faults=faults)
@@ -267,7 +239,7 @@ def build_environment(
 
 
 def build_topology(
-    *args: TopologyConfig,
+    *,
     config: TopologyConfig | None = None,
     seed: int | None = None,
     scale: str | None = None,
@@ -278,7 +250,6 @@ def build_topology(
     :func:`run_pipeline` would study at that seed and scale (the
     pipeline derives its topology seed from the master seed).
     """
-    config = _shim_positional_config(args, config, "build_topology")
     if config is None:
         config = _resolve_config(None, seed, scale).topology
     elif seed is not None or scale is not None:

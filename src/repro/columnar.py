@@ -1,17 +1,11 @@
-"""Columnar trace storage: flat parallel arrays behind the hot paths.
+"""Columnar trace codec: flat parallel arrays across the shard boundary.
 
-The CFS hot loop (address scanning, Step-1/Step-2 crossing extraction,
-moved-address re-parse) iterates tens of thousands of traceroute hops
-per campaign.  Walking per-hop dataclasses makes every visit pay
-attribute lookups and keeps the per-object layout scattered across the
-heap; shipping those objects across a process-pool boundary additionally
-pays one ``__reduce__`` round-trip per hop.  This module flattens a
-traceroute stream **once per campaign epoch** into parallel flat arrays
-— addresses as u32, RTTs as f64, hop offsets as u64 — that
-
-* the classify/extract stages scan as array slices (no objects touched),
-* fork workers inherit copy-on-write and answer with compact rows,
-* pickle as single ``memcpy``-shaped buffers instead of object graphs.
+Campaign shard workers hand their traceroutes back to the parent
+process.  Pickling per-hop dataclasses pays one ``__reduce__``
+round-trip per hop; this module flattens a traceroute stream into
+parallel flat arrays — addresses as u32, RTTs as f64, hop offsets as
+u64 — that pickle as a handful of ``memcpy``-shaped buffers, and
+rebuilds the dataclasses on the parent side.
 
 The dataclass API stays the module boundary: :class:`TraceArrays` is a
 *codec target*, built from any objects shaped like
@@ -29,7 +23,7 @@ functions of the traces they flatten.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "NO_ADDRESS",
@@ -70,9 +64,7 @@ class TraceArrays:
       not numeric data; pickle memoises the shared objects).
 
     The structure is **append-only**: :meth:`extend` flattens new traces
-    onto the end, which is what lets a corpus-wide instance be built
-    once per campaign epoch and grown as follow-up probes arrive,
-    without ever re-flattening the prefix.
+    onto the end without re-flattening the prefix.
     """
 
     __slots__ = (
@@ -154,38 +146,6 @@ class TraceArrays:
         """Number of flattened hops across every trace."""
         return len(self.hop_address)
 
-    def hop_range(self, index: int) -> tuple[int, int]:
-        """The flat hop range ``[start, stop)`` of trace ``index``."""
-        if not 0 <= index < len(self):
-            raise IndexError(f"trace index {index} out of range")
-        return self.trace_offsets[index], self.trace_offsets[index + 1]
-
-    def responsive_addresses(self, index: int) -> list[int]:
-        """Addresses of trace ``index``'s responsive hops, path order.
-
-        The columnar twin of ``Traceroute.responsive_addresses`` — one
-        array slice, no hop objects touched.
-        """
-        start, stop = self.hop_range(index)
-        return [
-            address
-            for address in self.hop_address[start:stop]
-            if address != NO_ADDRESS
-        ]
-
-    def intersects(self, index: int, addresses) -> bool:
-        """Whether any responsive hop of trace ``index`` is in
-        ``addresses`` (a set).  The moved-address re-parse filter: one
-        flat scan instead of materialising an address list per trace.
-        """
-        start, stop = self.hop_range(index)
-        hop_address = self.hop_address
-        for flat in range(start, stop):
-            value = hop_address[flat]
-            if value in addresses and value != NO_ADDRESS:
-                return True
-        return False
-
     # ------------------------------------------------------------------
     # Rebuild codec (arrays -> dataclasses)
     # ------------------------------------------------------------------
@@ -199,7 +159,7 @@ class TraceArrays:
         ``tests/core/test_columnar.py`` holds flatten → rebuild to
         field-for-field equality.
         """
-        start, stop = self.hop_range(index)
+        start, stop = self.trace_offsets[index], self.trace_offsets[index + 1]
         hops = []
         for flat in range(start, stop):
             address = self.hop_address[flat]
@@ -229,32 +189,6 @@ class TraceArrays:
             self.rebuild(index, trace_factory, hop_factory)
             for index in range(len(self))
         ]
-
-    # ------------------------------------------------------------------
-    # Slicing codec (shard boundaries)
-    # ------------------------------------------------------------------
-
-    def slice(self, indices: Sequence[int]) -> "TraceArrays":
-        """A new instance holding ``indices``'s traces, in given order.
-
-        The shard-result codec: a worker flattens just its block and
-        the whole answer pickles as a handful of flat buffers.
-        """
-        sliced = TraceArrays()
-        offsets = sliced.trace_offsets
-        for index in indices:
-            start, stop = self.hop_range(index)
-            sliced.hop_address.extend(self.hop_address[start:stop])
-            sliced.hop_rtt.extend(self.hop_rtt[start:stop])
-            sliced.hop_ttl.extend(self.hop_ttl[start:stop])
-            sliced.hop_router.extend(self.hop_router[start:stop])
-            offsets.append(len(sliced.hop_address))
-            sliced.src_asn.append(self.src_asn[index])
-            sliced.dst_address.append(self.dst_address[index])
-            sliced.reached.append(self.reached[index])
-            sliced.source_id.append(self.source_id[index])
-            sliced.platform.append(self.platform[index])
-        return sliced
 
     # ------------------------------------------------------------------
     # Pickling (fork results cross this boundary)

@@ -19,6 +19,11 @@ far ends of public peerings are settled with reverse-path constraints
 and the switch proximity heuristic, and every observed link receives a
 facility and engineering-type inference.
 
+Steps 1-3 of one iteration are :meth:`ConstrainedFacilitySearch.step`,
+which keeps the search state on the engine; ``run`` loops steps with
+follow-ups in between.  The streaming service drives the same engine
+passively — one step per epoch, no driver.
+
 Two evaluation engines share this loop:
 
 * the **incremental** engine (default): Step 2 only revisits
@@ -43,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _dataclass_replace
 
 from ..alias.midar import AliasSets, MidarResolver, repair_ip_to_asn
-from ..columnar import TraceArrays
 from ..exec import (
     ExecFaultSpec,
     SupervisorConfig,
@@ -53,7 +57,6 @@ from ..exec import (
 )
 from ..measurement.campaign import CampaignDriver, TraceCorpus
 from ..measurement.platforms import MeasurementPlatform
-from ..measurement.traceroute import Traceroute
 from ..obs import Instrumentation, MetricsSnapshot
 from .alias_constraints import propagate_alias_constraints
 from .classify import PeeringClassifier
@@ -125,14 +128,6 @@ class CfsConfig:
     #: the original full-rescan loop: every observation re-applied each
     #: iteration, the whole corpus re-parsed on every alias refresh.
     incremental: bool = True
-    #: Columnar hot paths (the default): address scanning, Step-1/2
-    #: extraction, and the moved-address re-parse consume flat arrays
-    #: (:class:`repro.columnar.TraceArrays`) flattened once per corpus
-    #: growth instead of walking hop dataclasses.  Byte-identical to the
-    #: object walk; ``False`` keeps the dataclass path.  The full-rescan
-    #: oracle (``incremental=False``) always walks objects — it is the
-    #: paper-literal reference both optimisations are measured against.
-    columnar: bool = True
     #: Tolerate missing facility rows: when one side of a Step-2
     #: constraint is unknown, widen the candidate set with the known
     #: side (marked ``data_health="degraded"``) instead of leaving the
@@ -223,186 +218,53 @@ class ConstrainedFacilitySearch:
             facility_db, strategy=self.config.followup_strategy
         )
         self.proximity = SwitchProximityModel()
+        self._reset()
 
     # ------------------------------------------------------------------
+
+    def _reset(self) -> None:
+        """Forget every address, trace and constraint: a fresh search."""
+        self._known_addresses: set[int] = set()
+        self._raw_mapping: dict[int, int | None] = {}
+        self._mapping: dict[int, int | None] = {}
+        self._alias_sets = AliasSets()
+        self._addresses_at_last_resolve = 0
+        #: Address-discovery frontier (never rewinds).
+        self._scanned_traces = 0
+        #: Extraction frontier (the full-rescan engine rewinds it to 0
+        #: on every alias refresh).
+        self._parsed_traces = 0
+        self._observations: dict[tuple, ObservedPeering] = {}
+        #: Incremental engine: per-trace extraction cache (``None`` for
+        #: traces yielding no crossing, which is most of them — keeps
+        #: the cache light for the garbage collector).
+        self._trace_records: list[dict[tuple, ObservedPeering] | None] = []
+        #: Observation keys whose constraints currently conflict; the
+        #: full-rescan loop re-counts such conflicts every iteration, so
+        #: the incremental engine keeps re-applying them.
+        self._sticky_conflicts: set[tuple] = set()
+        self._states: dict[int, InterfaceState] = {}
+        self._steps = 0
 
     def run(
         self,
         corpus: TraceCorpus,
         platforms: list[MeasurementPlatform] | None = None,
     ) -> CfsResult:
-        """Run the loop to convergence/timeout and finalize inferences."""
+        """Run the loop to convergence/timeout and finalize inferences.
+
+        Starts a fresh search, then alternates :meth:`step` with
+        targeted follow-ups (Step 4) until a stop rule fires.
+        """
         obs = self._obs
-        incremental = self.config.incremental
-        # The columnar fast path serves the incremental engine only; the
-        # full-rescan engine stays the untouched paper-literal oracle.
-        use_columnar = incremental and self.config.columnar
-        arrays: TraceArrays | None = None
-        known_addresses: set[int] = set()
-        raw_mapping: dict[int, int | None] = {}
-        mapping: dict[int, int | None] = {}
-        previous_mapping: dict[int, int | None] = {}
-        alias_sets = AliasSets()
-        addresses_at_last_resolve = 0
-        #: Address-discovery frontier (never rewinds).
-        scanned_traces = 0
-        #: Extraction frontier (the full-rescan engine rewinds it to 0
-        #: on every alias refresh).
-        parsed_traces = 0
-        observations: dict[tuple, ObservedPeering] = {}
-        #: Incremental engine: per-trace extraction cache (``None`` for
-        #: traces yielding no crossing, which is most of them — keeps
-        #: the cache light for the garbage collector).
-        trace_records: list[dict[tuple, ObservedPeering] | None] = []
-        #: Observation keys whose constraints currently conflict; the
-        #: full-rescan loop re-counts such conflicts every iteration, so
-        #: the incremental engine keeps re-applying them.
-        sticky_conflicts: set[tuple] = set()
-        states: dict[int, InterfaceState] = {}
+        self._reset()
         probed_pairs: set[tuple[int, int]] = set()
         history: list[IterationStats] = []
         followup_traces = 0
-        iterations_run = 0
 
         for iteration in range(1, self.config.max_iterations + 1):
-            iterations_run = iteration
-            obs.count("cfs.iterations")
-
-            # --- mapping upkeep for newly observed addresses ----------
-            with obs.stage("map"):
-                scan_from = scanned_traces if incremental else parsed_traces
-                if use_columnar:
-                    # Re-flatten lazily: only traces appended since the
-                    # last epoch are encoded (the corpus is append-only).
-                    arrays = corpus.columnar()
-                    fresh = [
-                        address
-                        for index in range(scan_from, len(corpus.traces))
-                        for address in arrays.responsive_addresses(index)
-                        if address not in known_addresses
-                    ]
-                else:
-                    fresh = [
-                        address
-                        for trace in corpus.traces[scan_from:]
-                        for address in trace.responsive_addresses()
-                        if address not in known_addresses
-                    ]
-                for address in fresh:
-                    known_addresses.add(address)
-                    asn = self._ip_to_asn.lookup(address)
-                    raw_mapping[address] = asn
-                    mapping[address] = asn
-                scanned_traces = len(corpus.traces)
-                obs.count("cfs.addresses_mapped", len(fresh))
-
-            # --- alias refresh + IP-to-ASN repair ----------------------
-            refreshed = False
-            grew_enough = len(known_addresses) - addresses_at_last_resolve > (
-                self.config.alias_refresh_fraction * max(1, addresses_at_last_resolve)
-            )
-            if self._midar is not None and (iteration == 1 or grew_enough):
-                with obs.stage("alias"):
-                    alias_sets = self._midar.resolve(sorted(known_addresses))
-                    addresses_at_last_resolve = len(known_addresses)
-                    previous_mapping = mapping
-                    if self.config.use_asn_repair:
-                        mapping = repair_ip_to_asn(alias_sets, raw_mapping)
-                    else:
-                        mapping = dict(raw_mapping)
-                refreshed = True
-                obs.count("cfs.alias_refreshes")
-                obs.emit(
-                    "cfs.alias_refresh",
-                    iteration=iteration,
-                    addresses=len(known_addresses),
-                    alias_sets=len(alias_sets),
-                )
-                if not incremental:
-                    # Boundaries may move under the repaired mapping:
-                    # the full-rescan engine drops the parsed corpus.
-                    observations = {}
-                    parsed_traces = 0
-
-            # --- Step 1: (re)extract crossings -------------------------
-            with obs.stage("extract"):
-                traces_parsed_now = 0
-                dirty: set[tuple] | None
-                if incremental:
-                    if refreshed:
-                        reparsed = self._reparse_moved(
-                            corpus, mapping, previous_mapping, trace_records,
-                            arrays,
-                        )
-                        traces_parsed_now += reparsed
-                        if reparsed:
-                            observations = self._rebuild_observations(
-                                trace_records
-                            )
-                        # Post-refresh, revisit every crossing once —
-                        # the full-rescan engine does the same pass.
-                        dirty = None
-                    else:
-                        dirty = set(sticky_conflicts)
-                    merge = PeeringClassifier.merge
-                    new_keys: set[tuple] = set()
-                    fresh_indices = range(parsed_traces, len(corpus.traces))
-                    for records in self._extract_many(
-                        corpus, mapping, fresh_indices, arrays
-                    ):
-                        trace_records.append(records)
-                        traces_parsed_now += 1
-                        if records is None:
-                            continue
-                        for record in records.values():
-                            merge(observations, record)
-                        new_keys.update(records)
-                    if dirty is not None:
-                        dirty |= new_keys
-                else:
-                    traces_parsed_now = len(corpus.traces) - parsed_traces
-                    self._classifier.extract(
-                        corpus.traces[parsed_traces:], mapping, into=observations
-                    )
-                    dirty = None
-                parsed_traces = len(corpus.traces)
-
-            # --- Step 2: initial facility search -----------------------
-            with obs.stage("constrain"):
-                changed = False
-                applied = 0
-                if dirty is None:
-                    for observation in observations.values():
-                        applied += 1
-                        if self._apply_observation(
-                            observation, states, sticky_conflicts, incremental
-                        ):
-                            changed = True
-                elif dirty:
-                    # Dict order is first-appearance order; walking the
-                    # dict (not the dirty set) keeps application order
-                    # identical to the full-rescan engine.
-                    for key, observation in observations.items():
-                        if key not in dirty:
-                            continue
-                        applied += 1
-                        if self._apply_observation(
-                            observation, states, sticky_conflicts, incremental
-                        ):
-                            changed = True
-                obs.count("cfs.observations_applied", applied)
-                obs.count(
-                    "cfs.observations_skipped", len(observations) - applied
-                )
-
-            # --- Step 3: alias constraint propagation ------------------
-            if self.config.use_alias_constraints and len(alias_sets):
-                with obs.stage("propagate"):
-                    narrowed = propagate_alias_constraints(states, alias_sets)
-                    if narrowed:
-                        changed = True
-                    obs.count("cfs.constraints_narrowed", narrowed)
-                    self._search.refresh_statuses(states)
+            changed, applied, traces_parsed = self.step(corpus)
+            states = self._states
 
             # --- Step 4: targeted follow-ups ----------------------------
             plans = []
@@ -427,16 +289,16 @@ class ConstrainedFacilitySearch:
                     iteration,
                     states,
                     len(plans),
-                    observations_total=len(observations),
+                    observations_total=len(self._observations),
                     observations_applied=applied,
-                    traces_parsed=traces_parsed_now,
+                    traces_parsed=traces_parsed,
                 )
             )
             obs.emit(
                 "cfs.iteration",
                 iteration=iteration,
                 interfaces=len(states),
-                observations=len(observations),
+                observations=len(self._observations),
                 applied=applied,
                 followups=len(plans),
             )
@@ -446,44 +308,191 @@ class ConstrainedFacilitySearch:
                 break
 
         with obs.stage("finalize"):
-            finalizer = LinkFinalizer(self._db, self.proximity)
-            links = finalizer.finalize(
-                observations, states, use_proximity=self.config.use_proximity
+            result = self.result(self.proximity)
+        result.history = history
+        result.followup_traces = followup_traces
+        result.metrics = obs.snapshot()
+        return result
+
+    def step(self, corpus: TraceCorpus) -> tuple[bool, int, int]:
+        """One CFS round (Steps 1-3) over ``corpus``.
+
+        Maps addresses first seen since the last step, refreshes alias
+        resolution on the first step or once the address pool grew
+        enough, extracts the traces appended since the last step, then
+        applies Step-2 constraints and propagates them across aliases
+        (Step 3).  The search state lives on the engine, so successive
+        steps over one append-only corpus continue one search:
+        :meth:`run` puts follow-ups between steps, and a passive caller
+        (no driver) folds a growing stream one step per epoch.
+
+        Returns ``(changed, applied, traces_parsed)``: whether any
+        constraint changed, how many Step-2 applications ran, and how
+        many traces were parsed or re-parsed.
+        """
+        obs = self._obs
+        incremental = self.config.incremental
+        self._steps += 1
+        obs.count("cfs.iterations")
+
+        # --- mapping upkeep for newly observed addresses ----------------
+        with obs.stage("map"):
+            known = self._known_addresses
+            fresh = [
+                address
+                for trace in corpus.traces[self._scanned_traces:]
+                for address in trace.responsive_addresses()
+                if address not in known
+            ]
+            for address in fresh:
+                known.add(address)
+                asn = self._ip_to_asn.lookup(address)
+                self._raw_mapping[address] = asn
+                self._mapping[address] = asn
+            self._scanned_traces = len(corpus.traces)
+            obs.count("cfs.addresses_mapped", len(fresh))
+
+        # --- alias refresh + IP-to-ASN repair ---------------------------
+        refreshed = False
+        last = self._addresses_at_last_resolve
+        grew_enough = len(known) - last > (
+            self.config.alias_refresh_fraction * max(1, last)
+        )
+        if self._midar is not None and (self._steps == 1 or grew_enough):
+            with obs.stage("alias"):
+                self._alias_sets = self._midar.resolve(sorted(known))
+                self._addresses_at_last_resolve = len(known)
+                previous_mapping = self._mapping
+                if self.config.use_asn_repair:
+                    self._mapping = repair_ip_to_asn(
+                        self._alias_sets, self._raw_mapping
+                    )
+                else:
+                    self._mapping = dict(self._raw_mapping)
+            refreshed = True
+            obs.count("cfs.alias_refreshes")
+            obs.emit(
+                "cfs.alias_refresh",
+                iteration=self._steps,
+                addresses=len(known),
+                alias_sets=len(self._alias_sets),
             )
+            if not incremental:
+                # Boundaries may move under the repaired mapping:
+                # the full-rescan engine drops the parsed corpus.
+                self._observations = {}
+                self._parsed_traces = 0
+
+        # --- Step 1: (re)extract crossings ------------------------------
+        with obs.stage("extract"):
+            traces_parsed = 0
+            dirty: set[tuple] | None
+            if incremental:
+                if refreshed:
+                    reparsed = self._reparse_moved(corpus, previous_mapping)
+                    traces_parsed += reparsed
+                    if reparsed:
+                        self._observations = self._rebuild_observations(
+                            self._trace_records
+                        )
+                    # Post-refresh, revisit every crossing once —
+                    # the full-rescan engine does the same pass.
+                    dirty = None
+                else:
+                    dirty = set(self._sticky_conflicts)
+                merge = PeeringClassifier.merge
+                new_keys: set[tuple] = set()
+                fresh_indices = range(self._parsed_traces, len(corpus.traces))
+                for records in self._extract_many(corpus, fresh_indices):
+                    self._trace_records.append(records)
+                    traces_parsed += 1
+                    if records is None:
+                        continue
+                    for record in records.values():
+                        merge(self._observations, record)
+                    new_keys.update(records)
+                if dirty is not None:
+                    dirty |= new_keys
+            else:
+                traces_parsed = len(corpus.traces) - self._parsed_traces
+                self._classifier.extract(
+                    corpus.traces[self._parsed_traces:],
+                    self._mapping,
+                    into=self._observations,
+                )
+                dirty = None
+            self._parsed_traces = len(corpus.traces)
+
+        # --- Step 2: initial facility search ----------------------------
+        with obs.stage("constrain"):
+            changed = False
+            applied = 0
+            observations = self._observations
+            if dirty is None:
+                for observation in observations.values():
+                    applied += 1
+                    if self._apply_observation(observation, incremental):
+                        changed = True
+            elif dirty:
+                # Dict order is first-appearance order; walking the
+                # dict (not the dirty set) keeps application order
+                # identical to the full-rescan engine.
+                for key, observation in observations.items():
+                    if key not in dirty:
+                        continue
+                    applied += 1
+                    if self._apply_observation(observation, incremental):
+                        changed = True
+            obs.count("cfs.observations_applied", applied)
+            obs.count("cfs.observations_skipped", len(observations) - applied)
+
+        # --- Step 3: alias constraint propagation -----------------------
+        if self.config.use_alias_constraints and len(self._alias_sets):
+            with obs.stage("propagate"):
+                narrowed = propagate_alias_constraints(
+                    self._states, self._alias_sets
+                )
+                if narrowed:
+                    changed = True
+                obs.count("cfs.constraints_narrowed", narrowed)
+                self._search.refresh_statuses(self._states)
+        return changed, applied, traces_parsed
+
+    def result(self, proximity: SwitchProximityModel) -> CfsResult:
+        """The map as the search stands: every observed link finalised
+        with ``proximity`` (far-end settlement, Section 4.4).
+
+        The result shares the engine's interface states.  It carries no
+        iteration history, follow-up count or metrics; :meth:`run`
+        fills those in.
+        """
+        links = LinkFinalizer(self._db, proximity).finalize(
+            self._observations,
+            self._states,
+            use_proximity=self.config.use_proximity,
+        )
         return CfsResult(
-            interfaces=states,
+            interfaces=self._states,
             links=links,
-            history=history,
-            iterations_run=iterations_run,
-            followup_traces=followup_traces,
-            peering_interfaces_seen=len(states),
-            metrics=obs.snapshot(),
-            alias_sets=alias_sets if self._midar is not None else None,
+            history=[],
+            iterations_run=self._steps,
+            followup_traces=0,
+            peering_interfaces_seen=len(self._states),
+            alias_sets=self._alias_sets if self._midar is not None else None,
         )
 
     # ------------------------------------------------------------------
     # Incremental-engine helpers
     # ------------------------------------------------------------------
 
-    def _extract_trace(
-        self, trace: Traceroute, mapping: dict[int, int | None]
-    ) -> dict[tuple, ObservedPeering] | None:
-        """One trace's crossings as an isolated (cacheable) record batch.
-
-        ``None`` stands for "no crossings" so the cache holds no empty
-        dicts (most traces cross no peering).
-        """
-        records = self._classifier.extract([trace], mapping, into={})
-        return records or None
-
     def _extract_many(
-        self,
-        corpus: TraceCorpus,
-        mapping: dict[int, int | None],
-        indices,
-        arrays: TraceArrays | None = None,
+        self, corpus: TraceCorpus, indices
     ) -> list[dict[tuple, ObservedPeering] | None]:
         """Extract many traces by index, on the pool when it pays off.
+
+        Each trace's crossings form an isolated (cacheable) record
+        batch; ``None`` stands for "no crossings" so the cache holds no
+        empty dicts (most traces cross no peering).
 
         Extraction is pure per trace, so the corpus splits into
         contiguous blocks (:func:`repro.exec.plan_blocks`, coarsened to
@@ -493,27 +502,17 @@ class ConstrainedFacilitySearch:
         worker classifies against a private :class:`Instrumentation`;
         the parent absorbs the snapshots in block order, so counter
         totals match the serial path exactly.
-
-        With ``arrays`` (the columnar engine) the scan runs over flat
-        hop columns, workers inherit the arrays copy-on-write, and
-        results come back as packed rows instead of pickled record
-        objects (:func:`_pack_records` / :func:`_unpack_records`).
         """
         indices = list(indices)
+        traces = corpus.traces
+        mapping = self._mapping
         if (
             self.workers <= 1
             or len(indices) < max(2, PARALLEL_EXTRACT_MIN)
         ):
-            if arrays is not None:
-                classifier = self._classifier
-                return [
-                    classifier.extract_arrays(arrays, (index,), mapping, into={})
-                    or None
-                    for index in indices
-                ]
-            traces = corpus.traces
+            extract = self._classifier.extract
             return [
-                self._extract_trace(traces[index], mapping)
+                extract([traces[index]], mapping, into={}) or None
                 for index in indices
             ]
         blocks = plan_blocks(
@@ -521,16 +520,11 @@ class ConstrainedFacilitySearch:
         )
         payloads = [tuple(indices[start:stop]) for start, stop in blocks]
         self._obs.count("exec.extract.blocks", len(payloads))
-        columnar = arrays is not None
         outputs = supervised_map(
-            _extract_block_columnar if columnar else _extract_block,
+            _extract_block,
             payloads,
             workers=self.workers,
-            context=(
-                (self._db, arrays, mapping)
-                if columnar
-                else (self._db, corpus.traces, mapping)
-            ),
+            context=(self._db, traces, mapping),
             config=self.supervision,
             faults=self.exec_faults,
             fallback=lambda reason: self._obs.count(f"exec.fallback.{reason}"),
@@ -539,22 +533,14 @@ class ConstrainedFacilitySearch:
         )
         results: list[dict[tuple, ObservedPeering] | None] = []
         for records, snapshot in outputs:
-            if columnar:
-                results.extend(
-                    _unpack_records(packed) for packed in records
-                )
-            else:
-                results.extend(records)
+            results.extend(records)
             self._obs.absorb(snapshot)
         return results
 
     def _reparse_moved(
         self,
         corpus: TraceCorpus,
-        mapping: dict[int, int | None],
         previous_mapping: dict[int, int | None],
-        trace_records: list[dict[tuple, ObservedPeering] | None],
-        arrays: TraceArrays | None = None,
     ) -> int:
         """Re-extract cached traces whose address-to-ASN mapping moved.
 
@@ -564,28 +550,21 @@ class ConstrainedFacilitySearch:
         """
         moved = {
             address
-            for address, asn in mapping.items()
+            for address, asn in self._mapping.items()
             if previous_mapping.get(address) != asn
         }
         if not moved:
             return 0
-        if arrays is not None:
-            intersects = arrays.intersects
-            touched = [
-                index
-                for index in range(len(trace_records))
-                if intersects(index, moved)
-            ]
-        else:
-            disjoint = moved.isdisjoint
-            traces = corpus.traces
-            touched = [
-                index
-                for index in range(len(trace_records))
-                if not disjoint(traces[index].responsive_addresses())
-            ]
+        trace_records = self._trace_records
+        disjoint = moved.isdisjoint
+        traces = corpus.traces
+        touched = [
+            index
+            for index in range(len(trace_records))
+            if not disjoint(traces[index].responsive_addresses())
+        ]
         for index, records in zip(
-            touched, self._extract_many(corpus, mapping, touched, arrays)
+            touched, self._extract_many(corpus, touched)
         ):
             trace_records[index] = records
         reparsed = len(touched)
@@ -615,11 +594,7 @@ class ConstrainedFacilitySearch:
         return rebuilt
 
     def _apply_observation(
-        self,
-        observation: ObservedPeering,
-        states: dict[int, InterfaceState],
-        sticky_conflicts: set[tuple],
-        track_conflicts: bool,
+        self, observation: ObservedPeering, track_conflicts: bool
     ) -> bool:
         """Step-2 application, optionally tracking conflicting keys.
 
@@ -628,6 +603,7 @@ class ConstrainedFacilitySearch:
         a fresh conflict each time, so they stay in the dirty set until
         a mapping move lifts the contradiction.
         """
+        states = self._states
         if not track_conflicts:
             return self._search.apply(observation, states)
         involved = [observation.near_address]
@@ -652,9 +628,9 @@ class ConstrainedFacilitySearch:
         )
         key = observation.key()
         if after > before:
-            sticky_conflicts.add(key)
+            self._sticky_conflicts.add(key)
         else:
-            sticky_conflicts.discard(key)
+            self._sticky_conflicts.discard(key)
         return changed
 
     # ------------------------------------------------------------------
@@ -716,91 +692,6 @@ def _extract_block(
     classifier = PeeringClassifier(facility_db, instrumentation=obs)
     records = [
         classifier.extract([traces[index]], mapping, into={}) or None
-        for index in indices
-    ]
-    return records, obs.snapshot()
-
-
-def _pack_records(
-    records: dict[tuple, ObservedPeering] | None,
-) -> tuple[tuple, ...] | None:
-    """One trace's record batch as plain rows (the shard-result codec).
-
-    Rows keep the dict's insertion order, which *is* the scan order, so
-    :func:`_unpack_records` rebuilds an identical dict — same records,
-    same order — while the pool boundary moves flat tuples instead of
-    dataclass object graphs.
-    """
-    if records is None:
-        return None
-    return tuple(
-        (
-            record.kind.value,
-            record.near_address,
-            record.near_asn,
-            record.far_asn,
-            record.far_address,
-            record.ixp_id,
-            record.ixp_address,
-            record.min_rtt_step_ms,
-            record.observations,
-        )
-        for record in records.values()
-    )
-
-
-def _unpack_records(
-    rows: tuple[tuple, ...] | None,
-) -> dict[tuple, ObservedPeering] | None:
-    """Materialise packed rows back into a keyed record batch."""
-    if rows is None:
-        return None
-    records: dict[tuple, ObservedPeering] = {}
-    for (
-        kind,
-        near_address,
-        near_asn,
-        far_asn,
-        far_address,
-        ixp_id,
-        ixp_address,
-        min_rtt_step_ms,
-        observations,
-    ) in rows:
-        record = ObservedPeering(
-            kind=PeeringKind(kind),
-            near_address=near_address,
-            near_asn=near_asn,
-            far_asn=far_asn,
-            far_address=far_address,
-            ixp_id=ixp_id,
-            ixp_address=ixp_address,
-            min_rtt_step_ms=min_rtt_step_ms,
-            observations=observations,
-        )
-        records[record.key()] = record
-    return records
-
-
-def _extract_block_columnar(
-    context: tuple, indices: tuple[int, ...]
-) -> tuple[list[tuple[tuple, ...] | None], MetricsSnapshot]:
-    """Columnar twin of :func:`_extract_block`.
-
-    ``context`` is ``(facility_db, trace_arrays, mapping)``,
-    fork-inherited copy-on-write — the flat arrays are never pickled on
-    the way in.  The scan walks array slices, and each trace's records
-    leave the worker as packed rows (:func:`_pack_records`), so the
-    result pickle is a list of flat tuples rather than an object graph.
-    """
-    facility_db, arrays, mapping = context
-    obs = Instrumentation()
-    classifier = PeeringClassifier(facility_db, instrumentation=obs)
-    records = [
-        _pack_records(
-            classifier.extract_arrays(arrays, (index,), mapping, into={})
-            or None
-        )
         for index in indices
     ]
     return records, obs.snapshot()

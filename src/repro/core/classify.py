@@ -17,9 +17,8 @@ the far side's peering-LAN port — become the subjects of Steps 2-4.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from ..columnar import NO_ADDRESS, TraceArrays
 from ..measurement.traceroute import TraceHop, Traceroute
 from ..obs import Instrumentation
 from .facility_db import FacilityDatabase
@@ -62,31 +61,6 @@ class PeeringClassifier:
                 self._scan_run(
                     run, ip_to_asn, observations, dst_address=trace.dst_address
                 )
-        self._obs.count("classify.traces_parsed", parsed)
-        return observations
-
-    def extract_arrays(
-        self,
-        arrays: TraceArrays,
-        indices: Sequence[int],
-        ip_to_asn: Mapping[int, int | None],
-        into: dict[tuple, ObservedPeering] | None = None,
-    ) -> dict[tuple, ObservedPeering]:
-        """Columnar twin of :meth:`extract` over flattened traces.
-
-        Scans the hop columns of ``arrays`` for the traces named by
-        ``indices`` without materialising a single hop object.  Both
-        paths funnel into the same record builders
-        (:meth:`_record_public` / :meth:`_record_private`), so the
-        observation dicts — records, insertion order, counters — are
-        byte-identical to the dataclass walk
-        (``tests/core/test_columnar.py`` pins this on seeds 0-4).
-        """
-        observations = into if into is not None else {}
-        parsed = 0
-        for index in indices:
-            parsed += 1
-            self._scan_trace_arrays(arrays, index, ip_to_asn, observations)
         self._obs.count("classify.traces_parsed", parsed)
         return observations
 
@@ -163,83 +137,7 @@ class PeeringClassifier:
             index += 1
 
     # ------------------------------------------------------------------
-    # Columnar scan (flat hop indices instead of hop objects)
-    # ------------------------------------------------------------------
-
-    def _scan_trace_arrays(
-        self,
-        arrays: TraceArrays,
-        index: int,
-        ip_to_asn: Mapping[int, int | None],
-        observations: dict[tuple, ObservedPeering],
-    ) -> None:
-        """Scan one flattened trace: runs over the address column, then
-        the same pair walk as :meth:`_scan_run` on flat indices."""
-        start, stop = arrays.hop_range(index)
-        addresses = arrays.hop_address
-        dst_address = arrays.dst_address[index]
-        run_start = start
-        for flat in range(start, stop + 1):
-            if flat == stop or addresses[flat] == NO_ADDRESS:
-                if flat - run_start >= 2:
-                    self._scan_run_flat(
-                        arrays, run_start, flat, ip_to_asn,
-                        observations, dst_address,
-                    )
-                run_start = flat + 1
-
-    def _scan_run_flat(
-        self,
-        arrays: TraceArrays,
-        lo: int,
-        hi: int,
-        ip_to_asn: Mapping[int, int | None],
-        observations: dict[tuple, ObservedPeering],
-        dst_address: int,
-    ) -> None:
-        addresses = arrays.hop_address
-        rtts = arrays.hop_rtt
-        db = self._db
-        flat = lo
-        while flat < hi - 1:
-            near_address = addresses[flat]
-            middle_address = addresses[flat + 1]
-            middle_ixp = db.ixp_of_address(middle_address)
-            if middle_ixp is not None:
-                if flat + 2 < hi:
-                    near_rtt = rtts[flat]
-                    middle_rtt = rtts[flat + 1]
-                    self._record_public(
-                        near_address,
-                        # NaN is the missing-RTT sentinel (!= itself).
-                        None if near_rtt != near_rtt else near_rtt,
-                        middle_address,
-                        None if middle_rtt != middle_rtt else middle_rtt,
-                        addresses[flat + 2],
-                        middle_ixp,
-                        ip_to_asn,
-                        observations,
-                    )
-                flat += 1
-                continue
-            if middle_address == dst_address:
-                flat += 1
-                continue
-            if db.ixp_of_address(near_address) is None:
-                near_rtt = rtts[flat]
-                middle_rtt = rtts[flat + 1]
-                self._record_private(
-                    near_address,
-                    None if near_rtt != near_rtt else near_rtt,
-                    middle_address,
-                    None if middle_rtt != middle_rtt else middle_rtt,
-                    ip_to_asn,
-                    observations,
-                )
-            flat += 1
-
-    # ------------------------------------------------------------------
-    # Record builders (shared by the object and columnar scans)
+    # Record builders
     # ------------------------------------------------------------------
 
     def _record_public(

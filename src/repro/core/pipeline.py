@@ -146,9 +146,10 @@ class PipelineConfig:
 
         Sixty study targets over the double-size Internet, with sample
         widths cranked until the initial campaign plans more than a
-        million traceroutes (1,064,240 at seed 0).  This is the scale
-        at which the workers-vs-serial speedup curve is meaningful —
-        per-fork overhead is fully amortised by the columnar batches.
+        million traceroutes (1,064,240 at seed 0), sized for measuring
+        the workers-vs-serial speedup curve where the per-fork overhead
+        is smallest relative to the work; whether forking wins at this
+        scale has not been measured.
         """
         return cls(
             topology=TopologyConfig.xlarge(seed=seed + 1),

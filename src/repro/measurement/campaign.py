@@ -107,16 +107,11 @@ class TraceCorpus:
     """Accumulated traceroute measurements.
 
     ``traces`` is append-only (campaigns and follow-ups only ever add),
-    which is what makes the lazy columnar cache sound: flattened
-    prefixes never change, so :meth:`columnar` extends the arrays with
-    the tail instead of re-encoding the corpus.
+    which is what lets the incremental CFS engine parse only the tail
+    appended since its last step.
     """
 
     traces: list[Traceroute] = field(default_factory=list)
-    #: Lazy columnar mirror of ``traces`` (built on first use).
-    _arrays: TraceArrays | None = field(default=None, repr=False)
-    #: How many leading traces ``_arrays`` already covers.
-    _flattened: int = field(default=0, repr=False)
 
     def add(self, trace: Traceroute) -> None:
         """Append one traceroute."""
@@ -125,20 +120,6 @@ class TraceCorpus:
     def extend(self, traces: list[Traceroute]) -> None:
         """Append many traceroutes."""
         self.traces.extend(traces)
-
-    def columnar(self) -> TraceArrays:
-        """The corpus as flat arrays, flattened once per growth epoch.
-
-        Amortised O(new traces): only the tail appended since the last
-        call is encoded.  The returned object is shared and append-only
-        — callers must treat it as read-only.
-        """
-        if self._arrays is None:
-            self._arrays = TraceArrays()
-        if self._flattened < len(self.traces):
-            self._arrays.extend(self.traces[self._flattened:])
-            self._flattened = len(self.traces)
-        return self._arrays
 
     def __len__(self) -> int:
         return len(self.traces)

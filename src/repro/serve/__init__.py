@@ -7,7 +7,8 @@ Four pieces:
   (interface→facility, AS-pair→links, facility→tenants), plus the
   durable payload codec and :func:`open_snapshot`;
 * :mod:`repro.serve.ingest` — epoch slicing of the campaign plan and
-  the :class:`StreamingCfs` incremental fold;
+  :class:`StreamingCfs`, which folds each epoch with one passive step
+  of the incremental CFS engine;
 * :mod:`repro.serve.query` — the copy-on-write read path
   (:class:`QueryEngine`) and the line-oriented query protocol;
 * :mod:`repro.serve.service` — :class:`MapService`, the daemon loop

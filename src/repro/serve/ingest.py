@@ -1,4 +1,4 @@
-"""Streaming ingest: epoch slicing and the incremental map fold.
+"""Streaming ingest: epoch slicing and the passive map fold.
 
 The always-on service simulates a continuous traceroute feed by
 partitioning the deterministic initial-campaign probe plan into
@@ -8,31 +8,30 @@ per-task execution consumes no shared randomness, so the union of the
 epoch slices is byte-identical to the one-shot batch campaign — the
 foundation of the stream-vs-batch equivalence guarantee.
 
-Between epochs, :class:`StreamingCfs` folds the new traces into a
-persistent incremental search state (the PR-1 dirty-set machinery:
-cached per-trace extractions, sticky conflicts, alias-refresh-on-growth)
-and produces *interim* map views for early snapshots.  The fold is
-**passive** — it issues no follow-up probes and, critically, resolves
-aliases against a **private** IP-ID responder: the environment's shared
-responder is stateful, and touching it mid-stream would perturb the
-post-stream convergence pass that must match the batch pipeline
-byte-for-byte.  Interim snapshots are best-effort early views; the
-final published snapshot always comes from a full
-:meth:`Environment.run_cfs` convergence pass over the accumulated
-corpus, with exactly the batch run's seeds and substrates.
+Between epochs, :class:`StreamingCfs` folds the new traces into one
+persistent incremental CFS engine
+(:class:`~repro.core.cfs.ConstrainedFacilitySearch`): each fold is one
+passive engine :meth:`~repro.core.cfs.ConstrainedFacilitySearch.step`
+(Steps 1-3, no follow-up probes), and interim map views finalise the
+engine state for early snapshots.  The engine resolves aliases against
+a **private** IP-ID responder: the environment's shared responder is
+stateful, and touching it mid-stream would perturb the post-stream
+convergence pass that must match the batch pipeline byte-for-byte.
+Interim snapshots are best-effort early views; the final published
+snapshot always comes from a full :meth:`Environment.run_cfs`
+convergence pass over the accumulated corpus, with exactly the batch
+run's seeds and substrates.
 """
 
 from __future__ import annotations
 
-from ..alias.midar import AliasSets, MidarConfig, MidarResolver, repair_ip_to_asn
-from ..core.alias_constraints import propagate_alias_constraints
-from ..core.classify import PeeringClassifier
-from ..core.constrain import InitialFacilitySearch
+from ..alias.midar import MidarConfig, MidarResolver
+from ..core.cfs import ConstrainedFacilitySearch
 from ..core.facility_db import FacilityDatabase
-from ..core.farside import LinkFinalizer
 from ..core.pipeline import Environment
-from ..core.types import CfsResult, InterfaceState, ObservedPeering, PeeringKind
-from ..measurement.campaign import ProbeTask
+from ..core.proximity import SwitchProximityModel
+from ..core.types import CfsResult
+from ..measurement.campaign import ProbeTask, TraceCorpus
 from ..measurement.ipid import IpidResponder
 from ..measurement.traceroute import Traceroute
 from ..obs import Instrumentation
@@ -73,15 +72,12 @@ def slice_epochs(plan: list[ProbeTask], epochs: int) -> list[list[ProbeTask]]:
 
 
 class StreamingCfs:
-    """Persistent incremental fold of a growing trace stream.
+    """A passive incremental CFS engine fed one epoch at a time.
 
-    Mirrors the incremental engine's Steps 1-3 (extract, constrain,
-    propagate) with state that survives across epochs: the address
-    mapping, the per-trace extraction cache, the accumulated crossing
-    observations, sticky conflicts, and the interface states.  Step 4
-    (targeted follow-ups) is deliberately absent — the fold never
-    probes, so it cannot disturb the deterministic substrate the final
-    convergence pass shares with the batch pipeline.
+    The engine has no campaign driver (Step 4 never probes, so folding
+    cannot disturb the substrate the final convergence pass shares with
+    the batch pipeline), a private alias substrate, and always runs
+    incremental; its search state survives across epochs.
     """
 
     def __init__(
@@ -94,227 +90,44 @@ class StreamingCfs:
         database — the churned stream folds each epoch against a
         *lagged* PeeringDB view (the database trails reality), while
         the measurement substrate stays the environment's own."""
-        config = environment.config.cfs
         seed = environment.config.seed
-        self._obs = instrumentation or Instrumentation()
-        self._db = facility_db if facility_db is not None else environment.facility_db
-        self._ip_to_asn = environment.cymru
-        self._classifier = PeeringClassifier(
-            self._db, instrumentation=self._obs
-        )
-        self._search = InitialFacilitySearch(
-            self._db,
-            environment.remote_detector(),
-            constrain_private_far_side=config.constrain_private_far_side,
-            degraded=config.degraded_mode,
-            instrumentation=self._obs,
-        )
+        obs = instrumentation or Instrumentation()
+        self._corpus = TraceCorpus()
         # Private alias substrate: the shared env.ipid_responder is
         # stateful, so interim resolution gets its own responder (and no
         # fault injector — injector RNG streams are shared state too).
-        self._midar = MidarResolver(
-            IpidResponder(
-                environment.topology, seed=seed + _PRIVATE_IPID_OFFSET
-            ),
+        midar = MidarResolver(
+            IpidResponder(environment.topology, seed=seed + _PRIVATE_IPID_OFFSET),
             config=MidarConfig(),
             seed=seed + _PRIVATE_MIDAR_OFFSET,
-            instrumentation=self._obs,
+            instrumentation=obs,
         )
-        self._use_alias_constraints = config.use_alias_constraints
-        self._use_asn_repair = config.use_asn_repair
-        self._use_proximity = config.use_proximity
-        self._refresh_fraction = config.alias_refresh_fraction
-        self._constrain_private_far = config.constrain_private_far_side
-
-        # --- fold state (survives across epochs) ----------------------
-        self._known_addresses: set[int] = set()
-        self._raw_mapping: dict[int, int | None] = {}
-        self._mapping: dict[int, int | None] = {}
-        self._alias_sets = AliasSets()
-        self._addresses_at_last_resolve = 0
-        self._traces: list[Traceroute] = []
-        self._trace_records: list[dict[tuple, ObservedPeering] | None] = []
-        self._observations: dict[tuple, ObservedPeering] = {}
-        self._sticky_conflicts: set[tuple] = set()
-        self._states: dict[int, InterfaceState] = {}
-        self._folds = 0
-
-    # ------------------------------------------------------------------
+        self._engine = ConstrainedFacilitySearch(
+            facility_db if facility_db is not None else environment.facility_db,
+            environment.cymru,
+            alias_resolver=midar,
+            driver=None,
+            remote_detector=environment.remote_detector(),
+            config=environment.config.cfs.replace(incremental=True),
+            instrumentation=obs,
+        )
 
     @property
     def traces_folded(self) -> int:
         """Traces absorbed so far."""
-        return len(self._traces)
+        return len(self._corpus)
 
     def fold(self, traces: list[Traceroute]) -> None:
-        """Absorb one epoch's traces into the live search state."""
-        self._folds += 1
-        self._traces.extend(traces)
-
-        # Map newly observed addresses.
-        fresh = [
-            address
-            for trace in traces
-            for address in trace.responsive_addresses()
-            if address not in self._known_addresses
-        ]
-        for address in fresh:
-            self._known_addresses.add(address)
-            asn = self._ip_to_asn.lookup(address)
-            self._raw_mapping[address] = asn
-            self._mapping[address] = asn
-
-        # Alias refresh on first fold or sufficient pool growth (the
-        # incremental engine's policy, applied per epoch).
-        refreshed = False
-        grown = len(self._known_addresses) - self._addresses_at_last_resolve
-        if self._folds == 1 or grown > (
-            self._refresh_fraction * max(1, self._addresses_at_last_resolve)
-        ):
-            self._alias_sets = self._midar.resolve(
-                sorted(self._known_addresses)
-            )
-            self._addresses_at_last_resolve = len(self._known_addresses)
-            previous_mapping = self._mapping
-            if self._use_asn_repair:
-                self._mapping = repair_ip_to_asn(
-                    self._alias_sets, self._raw_mapping
-                )
-            else:
-                self._mapping = dict(self._raw_mapping)
-            refreshed = True
-            self._obs.count("ingest.alias_refreshes")
-
-        # Step 1: extract crossings from the new traces (and re-extract
-        # cached ones whose mapping moved under the refresh).
-        dirty: set[tuple] | None
-        if refreshed:
-            if self._folds > 1:
-                self._reparse_moved(previous_mapping)
-            dirty = None  # post-refresh: revisit every crossing once
-        else:
-            dirty = set(self._sticky_conflicts)
-        merge = PeeringClassifier.merge
-        new_keys: set[tuple] = set()
-        start = len(self._trace_records)
-        for trace in self._traces[start:]:
-            records = (
-                self._classifier.extract([trace], self._mapping, into={})
-                or None
-            )
-            self._trace_records.append(records)
-            if records is None:
-                continue
-            for record in records.values():
-                merge(self._observations, record)
-            new_keys.update(records)
-        if dirty is not None:
-            dirty |= new_keys
-
-        # Step 2: apply constraints (dirty-set or full post-refresh pass).
-        applied = 0
-        if dirty is None:
-            for observation in self._observations.values():
-                applied += 1
-                self._apply(observation)
-        elif dirty:
-            # Dict order is first-appearance order; walking the dict
-            # keeps application order deterministic (same discipline as
-            # the incremental engine).
-            for key, observation in self._observations.items():
-                if key not in dirty:
-                    continue
-                applied += 1
-                self._apply(observation)
-        self._obs.count("ingest.observations_applied", applied)
-
-        # Step 3: propagate across aliases and settle statuses.
-        if self._use_alias_constraints and len(self._alias_sets):
-            propagate_alias_constraints(self._states, self._alias_sets)
-            self._search.refresh_statuses(self._states)
-
-    def _reparse_moved(self, previous_mapping: dict[int, int | None]) -> None:
-        """Re-extract cached traces whose address mapping moved."""
-        moved = {
-            address
-            for address, asn in self._mapping.items()
-            if previous_mapping.get(address) != asn
-        }
-        if not moved:
-            return
-        disjoint = moved.isdisjoint
-        touched = [
-            index
-            for index in range(len(self._trace_records))
-            if not disjoint(self._traces[index].responsive_addresses())
-        ]
-        for index in touched:
-            self._trace_records[index] = (
-                self._classifier.extract(
-                    [self._traces[index]], self._mapping, into={}
-                )
-                or None
-            )
-        if touched:
-            rebuilt: dict[tuple, ObservedPeering] = {}
-            merge = PeeringClassifier.merge
-            for records in self._trace_records:
-                if records is None:
-                    continue
-                for record in records.values():
-                    merge(rebuilt, record)
-            self._observations = rebuilt
-
-    def _apply(self, observation: ObservedPeering) -> None:
-        """Step-2 application with sticky-conflict tracking."""
-        involved = [observation.near_address]
-        if observation.kind is PeeringKind.PUBLIC:
-            if observation.ixp_address is not None:
-                involved.append(observation.ixp_address)
-        elif (
-            observation.far_address is not None
-            and self._constrain_private_far
-        ):
-            involved.append(observation.far_address)
-        before = sum(
-            self._states[address].conflicts
-            for address in involved
-            if address in self._states
-        )
-        self._search.apply(observation, self._states)
-        after = sum(
-            self._states[address].conflicts
-            for address in involved
-            if address in self._states
-        )
-        key = observation.key()
-        if after > before:
-            self._sticky_conflicts.add(key)
-        else:
-            self._sticky_conflicts.discard(key)
-
-    # ------------------------------------------------------------------
+        """Absorb one epoch's traces: one passive engine step."""
+        self._corpus.extend(traces)
+        self._engine.step(self._corpus)
 
     def interim_result(self) -> CfsResult:
         """A point-in-time view of the folded map.
 
-        Finalisation runs against a **fresh** :class:`LinkFinalizer`
-        (fresh proximity model) each time, so building an interim view
-        is a pure function of the current fold state — calling it twice
-        in a row, or after a checkpoint-restore replay of the same
-        epochs, yields identical links.
+        Finalisation uses a **fresh** proximity model each time, so the
+        view is a pure function of the fold state: calling it twice, or
+        after a checkpoint-restore replay of the same epochs, yields
+        identical links.
         """
-        finalizer = LinkFinalizer(self._db)
-        links = finalizer.finalize(
-            self._observations, self._states, use_proximity=self._use_proximity
-        )
-        return CfsResult(
-            interfaces=self._states,
-            links=links,
-            history=[],
-            iterations_run=self._folds,
-            followup_traces=0,
-            peering_interfaces_seen=len(self._states),
-            metrics=None,
-            alias_sets=self._alias_sets,
-        )
+        return self._engine.result(SwitchProximityModel())

@@ -83,15 +83,14 @@ class TestApiFacade:
         env = api.build_environment(seed=6, scale="small")
         assert direct.summary() == env.topology.summary()
 
-    def test_build_environment_positional_config_back_compat(self):
+    def test_build_environment_positional_config_rejected(self):
         config = PipelineConfig.small(seed=6)
-        with pytest.warns(DeprecationWarning, match="config="):
-            env = api.build_environment(config)
-        assert env.config is config
+        with pytest.raises(TypeError, match="positional"):
+            api.build_environment(config)
 
     def test_positional_and_keyword_config_together_rejected(self):
         config = PipelineConfig.small(seed=6)
-        with pytest.raises(TypeError, match="both"):
+        with pytest.raises(TypeError, match="positional"):
             api.run_pipeline(config, config=config)
 
     def test_serving_surface_reexported(self):

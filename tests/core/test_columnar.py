@@ -1,12 +1,8 @@
-"""Equivalence and round-trip contracts of the columnar hot path.
+"""Round-trip contracts of the columnar campaign-shard codec.
 
-The columnar engine (flat-array Step-2 extraction over
-:class:`repro.columnar.TraceArrays`) must be *byte-identical* to the
-dataclass oracle (``CfsConfig(columnar=False)``, the object-walking
-incremental engine) on everything the map consumer sees.  The second
-half of the file pins the codec itself: flatten → slice → rebuild must
-preserve every hop and trace field exactly, including the ``None``
-sentinels.
+Campaign shard workers return their traces flattened into
+:class:`repro.columnar.TraceArrays`; flatten → rebuild must preserve
+every hop and trace field exactly, including the ``None`` sentinels.
 """
 
 from __future__ import annotations
@@ -15,71 +11,12 @@ import pytest
 
 from repro.columnar import NO_ADDRESS, TraceArrays
 from repro.core.pipeline import PipelineConfig, build_environment
-from repro.export import export_result
 from repro.measurement.traceroute import (
     TraceHop,
     Traceroute,
     flatten_traces,
     rebuild_traces,
 )
-from repro.obs import Instrumentation
-
-SEEDS = (0, 1, 2, 3, 4)
-
-
-def _run(seed: int, scale: str, columnar: bool):
-    """One full study at ``scale`` with the chosen extraction engine.
-
-    A fresh environment per run: the IP-ID responder and the platform
-    engines are stateful, so sharing them across two runs would change
-    probe responses between engines and mask (or fake) divergence.
-    """
-    env = build_environment(PipelineConfig.for_scale(scale, seed=seed))
-    corpus = env.run_campaign()
-    result = env.run_cfs(
-        corpus,
-        cfs_config=env.config.cfs.replace(columnar=columnar),
-        instrumentation=Instrumentation(),
-    )
-    return env, result
-
-
-def _comparable(env, result) -> dict:
-    """The export minus the fields that measure work rather than truth."""
-    exported = export_result(result, env.facility_db)
-    exported.pop("metrics")
-    for record in exported["history"]:
-        record.pop("applied")
-        record.pop("traces_parsed")
-    return exported
-
-
-class TestColumnarEngineEquivalence:
-    """Columnar extraction vs the dataclass oracle, full exports."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_small_scale_byte_identical(self, seed):
-        env_col, col = _run(seed, "small", columnar=True)
-        env_obj, obj = _run(seed, "small", columnar=False)
-        assert _comparable(env_col, col) == _comparable(env_obj, obj)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_default_scale_byte_identical(self, seed):
-        env_col, col = _run(seed, "default", columnar=True)
-        env_obj, obj = _run(seed, "default", columnar=False)
-        assert _comparable(env_col, col) == _comparable(env_obj, obj)
-
-    def test_work_metrics_also_agree(self):
-        """Both engines are incremental: they must scan the *same*
-        traces, not merely reach the same answer."""
-        _, col = _run(0, "small", columnar=True)
-        _, obj = _run(0, "small", columnar=False)
-        assert col.metrics.counter("classify.traces_parsed") == (
-            obj.metrics.counter("classify.traces_parsed")
-        )
-        assert col.metrics.counter("cfs.observations_applied") == (
-            obj.metrics.counter("cfs.observations_applied")
-        )
 
 
 def _synthetic_traces() -> list[Traceroute]:
@@ -123,7 +60,7 @@ def _synthetic_traces() -> list[Traceroute]:
 
 
 class TestArrayRoundTrip:
-    """flatten → slice → rebuild preserves every field exactly."""
+    """flatten → rebuild preserves every field exactly."""
 
     def test_synthetic_traces_round_trip(self):
         traces = _synthetic_traces()
@@ -134,39 +71,12 @@ class TestArrayRoundTrip:
         # Frozen dataclasses: == compares every field of every hop.
         assert rebuilt == traces
 
-    def test_slice_round_trip(self):
-        traces = _synthetic_traces()
-        arrays = flatten_traces(traces)
-        order = [2, 0]
-        sliced = arrays.slice(order)
-        assert rebuild_traces(sliced) == [traces[i] for i in order]
-        # Slicing everything in order reproduces the original arrays.
-        assert arrays.slice(range(len(arrays))) == arrays
-
     def test_campaign_traces_round_trip(self):
-        """The real campaign stream round-trips hop-for-hop, and the
-        columnar address scan matches the dataclass method."""
+        """The real campaign stream round-trips hop-for-hop."""
         env = build_environment(PipelineConfig.small(seed=0))
         corpus = env.run_campaign()
         arrays = flatten_traces(corpus.traces)
         assert rebuild_traces(arrays) == list(corpus.traces)
-        for index, trace in enumerate(corpus.traces):
-            assert arrays.responsive_addresses(index) == (
-                trace.responsive_addresses()
-            )
-
-    def test_corpus_columnar_is_append_only(self):
-        """``TraceCorpus.columnar()`` flattens once and extends in
-        place when new traces arrive — same object, grown."""
-        env = build_environment(PipelineConfig.small(seed=0))
-        corpus = env.run_campaign()
-        arrays = corpus.columnar()
-        first = len(arrays)
-        assert first == len(corpus.traces)
-        corpus.traces.extend(_synthetic_traces())
-        again = corpus.columnar()
-        assert again is arrays
-        assert len(again) == first + 3
 
     def test_sentinel_collision_rejected(self):
         bad = Traceroute(
@@ -182,16 +92,6 @@ class TestArrayRoundTrip:
         with pytest.raises(ValueError, match="NO_ADDRESS"):
             flatten_traces([bad])
 
-    def test_intersects_matches_responsive_scan(self):
-        traces = _synthetic_traces()
-        arrays = flatten_traces(traces)
-        assert arrays.intersects(0, {0x0A000003})
-        assert not arrays.intersects(0, {0xDEADBEEF})
-        assert not arrays.intersects(1, {0x0A000002})  # no hops at all
-        # An unresponsive hop never matches, even via the raw sentinel
-        # (trace 2's first hop is a ``*``).
-        assert not arrays.intersects(2, {NO_ADDRESS})
-
     def test_pickle_round_trip(self):
         import pickle
 
@@ -202,15 +102,11 @@ class TestArrayRoundTrip:
 
 
 class TestArrayIndexing:
-    def test_hop_range_bounds(self):
+    def test_trace_offsets(self):
+        """Trace *i* owns flat hops ``offsets[i]:offsets[i+1]``; an
+        empty trace owns an empty range."""
         arrays = flatten_traces(_synthetic_traces())
-        assert arrays.hop_range(0) == (0, 4)
-        assert arrays.hop_range(1) == (4, 4)
-        assert arrays.hop_range(2) == (4, 6)
-        with pytest.raises(IndexError):
-            arrays.hop_range(3)
-        with pytest.raises(IndexError):
-            arrays.hop_range(-1)
+        assert list(arrays.trace_offsets) == [0, 4, 4, 6]
 
     def test_empty_arrays(self):
         arrays = TraceArrays()

@@ -38,6 +38,18 @@ BATCH_FINGERPRINT = (
 )
 #: Classic (non-Paris) traceroute over a fixed grid of sources x targets.
 CLASSIC_SHA256 = "fa0e55c2a0183957232b66b4bc2d476e294bb892d8105ebd0421840231430859"
+#: Per-epoch fingerprints of the classic stream (4 epochs): the interim
+#: fold snapshots, then the final convergence pass (equal to batch).
+#: The folds cross growth-triggered alias refreshes and moved-trace
+#: re-parses.
+STREAM_EPOCHS = 4
+STREAM_FINGERPRINTS = (
+    "dc0e944e68a080d7e388a4033f7d7b153dac23b5f0311b1c502c0540b59d0d1c",
+    "8ffc8350080efbafef80ac1a5b625b7505ee5f68b146c4ecd1a4ebdfaca7ff5f",
+    "b242715560280fabb2564f1725231517e37a14dc86bc3262f29ce0fb51fb7a8f",
+    "13aa8f3612c529d5995f2f3c8b5f54cff2273bbee1eb384df45a912396106282",
+    BATCH_FINGERPRINT,
+)
 #: Per-epoch fingerprints of the churned stream (plan seed 2, 4 epochs).
 CHURN_EPOCHS = 4
 CHURN_PLAN_SEED = 2
@@ -135,3 +147,8 @@ class TestSubstrateGolden:
         handle = service.run_stream(CHURN_EPOCHS, churn=plan)
         fingerprints = tuple(s.fingerprint for s in handle.snapshots)
         assert fingerprints == CHURN_FINGERPRINTS
+
+    def test_classic_stream_epoch_fingerprints(self):
+        handle = MapService(_config()).run_stream(STREAM_EPOCHS)
+        fingerprints = tuple(s.fingerprint for s in handle.snapshots)
+        assert fingerprints == STREAM_FINGERPRINTS
