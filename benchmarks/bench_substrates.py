@@ -86,7 +86,7 @@ def test_midar_resolution(benchmark, bench_env):
 
     def resolve():
         responder = IpidResponder(topology, seed=7)
-        resolver = MidarResolver(responder, seed=7)
+        resolver = MidarResolver(responder)
         return resolver.resolve(addresses)
 
     sets = benchmark.pedantic(resolve, rounds=2, iterations=1)

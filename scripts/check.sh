@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The local gate: everything the driver checks, in one command.
 #
-#   scripts/check.sh          # tier-1 tests + lint + smokes + speedup gate
-#   scripts/check.sh --fast   # tier-1 tests + lint only
+#   scripts/check.sh          # substrate pins + tier-1 tests + lint + smokes + speedup gate
+#   scripts/check.sh --fast   # substrate pins + tier-1 tests + lint only
 #
 # Exits non-zero on the first failing stage.
 
@@ -16,6 +16,10 @@ if [[ "${1:-}" == "--fast" ]]; then
     fast=1
 fi
 
+echo "== substrate golden pins + MIDAR reference (fail fast, ~15 s) =="
+python -m pytest -x -q tests/measurement/test_substrate_golden.py tests/alias
+
+echo
 echo "== tier-1 test suite =="
 python -m pytest -x -q
 

@@ -27,8 +27,6 @@ point-to-point subnets) are reassigned to the majority ASN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from random import Random
-
 from typing import TYPE_CHECKING
 
 from ..measurement.ipid import IPID_MODULUS, IpidResponder
@@ -176,6 +174,14 @@ class MidarConfig:
     #: Velocities above this are treated as random IP-ID (not usable).
     max_plausible_velocity: float = 2000.0
 
+    def __post_init__(self) -> None:
+        # Fewer rounds accept every candidate pair unprobed; a shorter
+        # train has no per-address stride and rejects every pair.
+        if self.elimination_rounds < 1:
+            raise ValueError("elimination_rounds must be at least 1")
+        if self.elimination_train < 2:
+            raise ValueError("elimination_train must be at least 2")
+
 
 class MidarResolver:
     """Runs the MIDAR stages against an :class:`IpidResponder`."""
@@ -184,159 +190,245 @@ class MidarResolver:
         self,
         responder: IpidResponder,
         config: MidarConfig | None = None,
-        seed: int = 0,
         instrumentation: Instrumentation | None = None,
         fault_injector: "FaultInjector | None" = None,
     ) -> None:
         self._responder = responder
         self.config = config or MidarConfig()
-        self._rng = Random(seed)
         self._obs = instrumentation or Instrumentation()
         self._faults = fault_injector
         self.probes_sent = 0
         # Pair verdicts persist across resolve() calls: re-running the
         # pipeline's periodic alias refresh only probes pairs involving
         # newly observed addresses (MIDAR similarly reuses run state
-        # between its corroboration rounds).
-        self._rejected_pairs: set[tuple[int, int]] = set()
+        # between its corroboration rounds).  ``_decided_pairs`` holds
+        # every verdict, ``_accepted_pairs`` the passing subset.
+        self._decided_pairs: set[tuple[int, int]] = set()
         self._accepted_pairs: set[tuple[int, int]] = set()
 
-    # -- stage 1 -------------------------------------------------------
+    def resolve(self, addresses: list[int]) -> AliasSets:
+        """Group ``addresses`` into alias sets.
 
-    def _estimate(self, addresses: list[int]) -> dict[int, float]:
-        """Velocity per usable address; unusable addresses are dropped."""
+        One fused loop runs all four stages.  Counter addresses are
+        probed by advancing the responder's cells inline (the same
+        ``counter + velocity`` float addition :meth:`IpidResponder.probe`
+        performs); every other address goes through ``probe``.  Probes,
+        their order and every RNG draw are exactly those of probing
+        each pair with :meth:`IpidResponder.probe`, train by train.
+        """
+        config = self.config
+        responder = self._responder
+        probe = responder.probe
+        route = responder.route
+        counters = responder.counters
+        cell_velocities = responder.velocities
+        modulus = IPID_MODULUS
+        probes = 0
+
+        # -- stage 1: estimation ---------------------------------------
+        # Velocity per usable address; unusable addresses are dropped.
+        estimation_train = config.estimation_train
         velocities: dict[int, float] = {}
-        for address in addresses:
-            train = self._responder.probe_train(
-                address, self.config.estimation_train
-            )
-            self.probes_sent += len(train)
-            samples = [s for s in train if s is not None]
-            if len(samples) < self.config.estimation_train:
-                continue  # unresponsive (Google-style) targets
+        cells: dict[int, int] = {}
+        for address in sorted(set(addresses)):
+            # First contact creates the address's cell (an RNG draw)
+            # exactly where its first probe would.
+            dispatch = route(address)
+            probes += estimation_train
+            if dispatch is None:
+                continue  # not an interface: no reply to any probe
+            cell = dispatch[1]
+            if cell >= 0:
+                samples = []
+                counter = counters[cell]
+                step = cell_velocities[cell]
+                for _ in range(estimation_train):
+                    counter += step
+                    samples.append(int(counter) % modulus)
+                counters[cell] = counter
+            else:
+                samples = [probe(address) for _ in range(estimation_train)]
+                if None in samples:
+                    continue  # unresponsive (Google-style) targets
             if all(s == samples[0] for s in samples):
                 continue  # constant IP-ID
             velocity = velocity_estimate(samples)
-            if velocity is None or velocity > self.config.max_plausible_velocity:
+            if velocity is None or velocity > config.max_plausible_velocity:
                 continue  # random IP-ID
             velocities[address] = velocity
-        return velocities
+            cells[address] = cell
 
-    # -- stage 2 -------------------------------------------------------
-
-    def _sieve(self, velocities: dict[int, float]) -> list[tuple[int, int]]:
-        """Candidate pairs whose velocities could share one counter.
-
-        A sliding window over velocity-sorted addresses: only pairs
-        within the configured ratio are worth probing, which keeps the
-        elimination stage far below the naive quadratic probe count.
-        """
-        ranked = sorted(velocities.items(), key=lambda item: (item[1], item[0]))
-        bound = self.config.velocity_ratio_bound
-        candidates: list[tuple[int, int]] = []
-        for i, (address_a, velocity_a) in enumerate(ranked):
-            ceiling = velocity_a * bound
-            for address_b, velocity_b in ranked[i + 1 :]:
-                if velocity_b > ceiling:
-                    break
-                candidates.append((address_a, address_b))
-        return candidates
-
-    # -- stage 3 -------------------------------------------------------
-
-    def _eliminate(self, a: int, b: int, velocity_a: float, velocity_b: float) -> bool:
-        """Interleaved monotonic bounds test; all rounds must pass.
-
-        Besides pure monotonicity, the bounds test checks *velocity
-        consistency*: when two addresses share one counter, probing them
-        alternately makes each address's own samples advance at the
-        combined rate ``velocity_a + velocity_b`` (every probe to either
-        address ticks the shared counter).  Two independent counters that
-        happen to be phase-aligned pass plain monotonicity, but each
-        address still advances at its own solo rate — this check is what
-        keeps MIDAR's false-positive rate negligible at scale.
-        """
-        expected_stride = velocity_a + velocity_b
-        tolerance = 0.8 + 0.05 * expected_stride
-        probe = self._responder.probe
-        train = self.config.elimination_train
-        sent = 0
-        try:
-            for _ in range(self.config.elimination_rounds):
-                samples_a: list[int] = []
-                samples_b: list[int] = []
-                last: int | None = None
-                total_advance = 0
-                for _ in range(train):
-                    for samples, address in ((samples_a, a), (samples_b, b)):
-                        sample = probe(address)
-                        sent += 1
-                        if sample is None:
-                            return False
-                        # Incremental bounds check: abort the train as
-                        # soon as monotonicity is violated (most
-                        # non-alias pairs fail within the first few
-                        # probes).
-                        if last is not None:
-                            step = (sample - last) % IPID_MODULUS
-                            if step == 0:
-                                return False
-                            total_advance += step
-                            if total_advance >= IPID_MODULUS:
-                                return False
-                        last = sample
-                        samples.append(sample)
-                for samples in (samples_a, samples_b):
-                    stride = velocity_estimate(samples)
-                    if stride is None or abs(stride - expected_stride) > tolerance:
-                        return False
-            return True
-        finally:
-            self.probes_sent += sent
-
-    # -- pipeline ------------------------------------------------------
-
-    def resolve(self, addresses: list[int]) -> AliasSets:
-        """Group ``addresses`` into alias sets."""
-        probes_before = self.probes_sent
-        velocities = self._estimate(sorted(set(addresses)))
         union_find = UnionFind()
         for address in velocities:
             union_find.add(address)
+        #: Addresses in a union of two or more: only a pair of these can
+        #: already be merged transitively.
+        merged: set[int] = set()
         for pair in self._accepted_pairs:
             if pair[0] in velocities and pair[1] in velocities:
                 union_find.union(*pair)
-        for a, b in self._sieve(velocities):
-            pair = (a, b) if a < b else (b, a)
-            if pair in self._rejected_pairs or pair in self._accepted_pairs:
-                # Verdict cached from an earlier refresh: no re-probing.
-                self._obs.count("midar.pair_cache_hits")
-                continue
-            # Corroboration shortcut: if already merged transitively,
-            # skip the probes (MIDAR does the same to bound probing).
-            if union_find.find(a) == union_find.find(b):
-                continue
-            self._obs.count("midar.pairs_probed")
-            if self._eliminate(a, b, velocities[a], velocities[b]):
+                merged.update(pair)
+
+        # -- stages 2-4: sieve, elimination, corroboration -------------
+        # A sliding window over velocity-sorted addresses: only pairs
+        # within the configured ratio can share one counter, which
+        # keeps elimination far below the naive quadratic probe count.
+        ranked = sorted(velocities.items(), key=lambda item: (item[1], item[0]))
+        ranked_addresses = [address for address, _ in ranked]
+        ranked_velocities = [velocity for _, velocity in ranked]
+        ranked_cells = [cells[address] for address in ranked_addresses]
+        bound = config.velocity_ratio_bound
+        rounds = config.elimination_rounds
+        train = config.elimination_train
+        decided = self._decided_pairs
+        accepted = self._accepted_pairs
+        faults = self._faults
+        cache_hits = probed = accepted_count = false_negatives = 0
+        size = len(ranked)
+        for i in range(size):
+            a = ranked_addresses[i]
+            velocity_a = ranked_velocities[i]
+            cell_a = ranked_cells[i]
+            step_a = cell_velocities[cell_a] if cell_a >= 0 else 0.0
+            a_merged = a in merged
+            ceiling = velocity_a * bound
+            for j in range(i + 1, size):
+                velocity_b = ranked_velocities[j]
+                if velocity_b > ceiling:
+                    break
+                b = ranked_addresses[j]
+                pair = (a, b) if a < b else (b, a)
+                if pair in decided:
+                    # Verdict cached from an earlier refresh: no re-probing.
+                    cache_hits += 1
+                    continue
+                # Corroboration shortcut: if already merged transitively,
+                # skip the probes (MIDAR does the same to bound probing).
+                if (
+                    a_merged
+                    and b in merged
+                    and union_find.find(a) == union_find.find(b)
+                ):
+                    continue
+                probed += 1
+                cell_b = ranked_cells[j]
+                step_b = cell_velocities[cell_b] if cell_b >= 0 else 0.0
+                # Elimination: interleaved trains a, b, a, b, ...; every
+                # round must pass the monotonic bounds test, checked
+                # incrementally.  Cells are read and written per probe,
+                # so a shared router's pair advances one cell.  Only
+                # counter and random-draw addresses pass estimation, so
+                # ``probe`` always answers here.  Round one opens a, b,
+                # a: for two unrelated counters the interleaved advance
+                # almost always reaches a full cycle by a's second
+                # sample, so most pairs stop after three probes.
+                if cell_a >= 0:
+                    counter = counters[cell_a] = counters[cell_a] + step_a
+                    first = int(counter) % modulus
+                else:
+                    first = probe(a)
+                if cell_b >= 0:
+                    counter = counters[cell_b] = counters[cell_b] + step_b
+                    second = int(counter) % modulus
+                else:
+                    second = probe(b)
+                total = (second - first) % modulus
+                if not total:
+                    probes += 2
+                    decided.add(pair)
+                    continue
+                if cell_a >= 0:
+                    counter = counters[cell_a] = counters[cell_a] + step_a
+                    third = int(counter) % modulus
+                else:
+                    third = probe(a)
+                probes += 3
+                advance = (third - second) % modulus
+                total += advance
+                if not advance or total >= modulus:
+                    decided.add(pair)
+                    continue
+                # The rest of the rounds, probe by probe.
+                expected_stride = velocity_a + velocity_b
+                tolerance = 0.8 + 0.05 * expected_stride
+                samples = [first, second, third]
+                passed = True
+                for round_index in range(rounds):
+                    if round_index:
+                        samples = []
+                        total = 0
+                    for position in range(len(samples), 2 * train):
+                        address, cell = (b, cell_b) if position & 1 else (a, cell_a)
+                        probes += 1
+                        if cell >= 0:
+                            counter = counters[cell] = (
+                                counters[cell] + cell_velocities[cell]
+                            )
+                            sample = int(counter) % modulus
+                        else:
+                            sample = probe(address)
+                        if samples:
+                            advance = (sample - samples[-1]) % modulus
+                            total += advance
+                            if not advance or total >= modulus:
+                                passed = False
+                                break
+                        samples.append(sample)
+                    if not passed:
+                        break
+                    # Velocity consistency: when two addresses share
+                    # one counter, probing them alternately makes each
+                    # one's own samples advance at the combined rate
+                    # ``velocity_a + velocity_b``.  Two independent
+                    # counters that happen to be phase-aligned pass plain
+                    # monotonicity but still advance at their solo rates
+                    # — this check keeps MIDAR's false-positive rate
+                    # negligible at scale.
+                    strides = (
+                        velocity_estimate(samples[0::2]),
+                        velocity_estimate(samples[1::2]),
+                    )
+                    if any(
+                        stride is None or abs(stride - expected_stride) > tolerance
+                        for stride in strides
+                    ):
+                        passed = False
+                        break
+                if not passed:
+                    decided.add(pair)
+                    continue
                 # Chaos layer: congestion can break an elimination train
                 # and turn a true alias pair into a (cached!) rejection.
-                if self._faults is not None and self._faults.alias_false_negative():
-                    self._rejected_pairs.add(pair)
-                    self._obs.count("midar.fault_false_negatives")
+                if faults is not None and faults.alias_false_negative():
+                    decided.add(pair)
+                    false_negatives += 1
                     continue
                 union_find.union(a, b)
-                self._accepted_pairs.add(pair)
-                self._obs.count("midar.pairs_accepted")
-            else:
-                self._rejected_pairs.add(pair)
-        self._obs.count("midar.probes_sent", self.probes_sent - probes_before)
+                a_merged = True
+                merged.add(a)
+                merged.add(b)
+                decided.add(pair)
+                accepted.add(pair)
+                accepted_count += 1
+
+        obs = self._obs
+        for name, value in (
+            ("midar.pair_cache_hits", cache_hits),
+            ("midar.pairs_probed", probed),
+            ("midar.fault_false_negatives", false_negatives),
+            ("midar.pairs_accepted", accepted_count),
+        ):
+            if value:
+                obs.count(name, value)
+        self.probes_sent += probes
+        obs.count("midar.probes_sent", probes)
         result = AliasSets.from_groups(union_find.groups())
-        self._obs.emit(
+        obs.emit(
             "midar.resolve",
             addresses=len(addresses),
             usable=len(velocities),
             alias_sets=len(result),
-            probes=self.probes_sent - probes_before,
+            probes=probes,
         )
         return result
 

@@ -283,15 +283,12 @@ class Environment:
         )
 
     def new_midar(
-        self,
-        seed_offset: int = 0,
-        instrumentation: Instrumentation | None = None,
+        self, instrumentation: Instrumentation | None = None
     ) -> MidarResolver:
         """A fresh MIDAR front-end over the shared IP-ID responder."""
         return MidarResolver(
             self.ipid_responder,
             config=MidarConfig(),
-            seed=self.config.seed + 2000 + seed_offset,
             instrumentation=instrumentation,
             fault_injector=self.fault_injector,
         )
@@ -355,7 +352,7 @@ class Environment:
             facility_db=database,
             ip_to_asn=self.cymru,
             alias_resolver=(
-                self.new_midar(seed_offset, instrumentation=obs)
+                self.new_midar(instrumentation=obs)
                 if with_alias_resolution
                 else None
             ),

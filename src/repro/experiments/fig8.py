@@ -81,7 +81,7 @@ def run_fig8(
     included) so the passive replays see identical measurements.
     """
     rng = Random(seed)
-    shared_resolver: MidarResolver = env.new_midar(seed_offset=500)
+    shared_resolver: MidarResolver = env.new_midar()
 
     def passive_run(facility_db):
         search_db = facility_db

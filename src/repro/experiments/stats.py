@@ -109,9 +109,7 @@ class AliasCensus:
         )
 
 
-def run_alias_census(
-    env: Environment, corpus: TraceCorpus, seed_offset: int = 900
-) -> AliasCensus:
+def run_alias_census(env: Environment, corpus: TraceCorpus) -> AliasCensus:
     """Resolve the corpus's observed addresses and count conflicts.
 
     A set "conflicts" when its members' longest-prefix IP-to-ASN answers
@@ -119,7 +117,7 @@ def run_alias_census(
     majority vote repairs.
     """
     addresses = sorted(corpus.observed_addresses())
-    resolver = env.new_midar(seed_offset)
+    resolver = env.new_midar()
     alias_sets: AliasSets = resolver.resolve(addresses)
     mapping = {address: env.cymru.lookup(address) for address in addresses}
     conflicting_sets = 0

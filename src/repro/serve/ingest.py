@@ -38,12 +38,11 @@ from ..obs import Instrumentation
 
 __all__ = ["StreamingCfs", "slice_epochs"]
 
-#: Seed offsets for the fold's private alias substrate.  Distinct from
-#: every offset the batch pipeline uses (drivers at +1000+k, the shared
-#: MIDAR at +2000+k) so interim resolution perturbs nothing the final
-#: convergence pass depends on.
+#: Seed offset for the fold's private IP-ID responder.  Distinct from
+#: every offset the batch pipeline uses (the environment's responder at
+#: +18, drivers at +1000+k) so interim resolution perturbs nothing the
+#: final convergence pass depends on.
 _PRIVATE_IPID_OFFSET = 3000
-_PRIVATE_MIDAR_OFFSET = 3001
 
 
 def slice_epochs(plan: list[ProbeTask], epochs: int) -> list[list[ProbeTask]]:
@@ -99,7 +98,6 @@ class StreamingCfs:
         midar = MidarResolver(
             IpidResponder(environment.topology, seed=seed + _PRIVATE_IPID_OFFSET),
             config=MidarConfig(),
-            seed=seed + _PRIVATE_MIDAR_OFFSET,
             instrumentation=obs,
         )
         self._engine = ConstrainedFacilitySearch(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.alias.midar import (
     AliasSets,
+    MidarConfig,
     MidarResolver,
     UnionFind,
     monotonic_mod_sequence,
@@ -129,11 +130,20 @@ class TestAliasSets:
         assert not sets.are_aliases(1, 99)
 
 
+class TestMidarConfig:
+    @pytest.mark.parametrize(
+        "field, value", [("elimination_rounds", 0), ("elimination_train", 1)]
+    )
+    def test_rejects_elimination_that_cannot_test(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MidarConfig(**{field: value})
+
+
 class TestResolver:
     @pytest.fixture(scope="class")
     def resolution(self, small_topology):
         responder = IpidResponder(small_topology, seed=50)
-        resolver = MidarResolver(responder, seed=50)
+        resolver = MidarResolver(responder)
         addresses = [
             address
             for address, iface in small_topology.interfaces.items()
@@ -175,7 +185,7 @@ class TestResolver:
 
     def test_pair_memory_reused_across_resolves(self, small_topology):
         responder = IpidResponder(small_topology, seed=51)
-        resolver = MidarResolver(responder, seed=51)
+        resolver = MidarResolver(responder)
         addresses = list(small_topology.interfaces)[:300]
         first = resolver.resolve(addresses)
         probes_after_first = resolver.probes_sent
@@ -220,7 +230,7 @@ class TestAsnRepair:
 
         cymru = CymruService(small_topology, seed=52)
         responder = IpidResponder(small_topology, seed=52)
-        resolver = MidarResolver(responder, seed=52)
+        resolver = MidarResolver(responder)
         addresses = [
             address
             for address, iface in small_topology.interfaces.items()

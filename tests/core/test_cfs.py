@@ -76,7 +76,7 @@ class TestSoundness:
         search = ConstrainedFacilitySearch(
             facility_db=truth_db,
             ip_to_asn=_PerfectMapping(small_env.topology),
-            alias_resolver=small_env.new_midar(70),
+            alias_resolver=small_env.new_midar(),
             driver=small_env.new_driver(71),
             remote_detector=small_env.remote_detector(),
             config=CfsConfig(max_iterations=30),

@@ -15,13 +15,16 @@ in the change log.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from repro.checkpoint import config_fingerprint
 from repro.core import PipelineConfig, build_environment
+from repro.faults import FaultPlan
 from repro.measurement.traceroute import TracerouteConfig, TracerouteEngine
+from repro.obs import Instrumentation
 from repro.serve import MapService, build_snapshot
 from repro.topology.churn import ChurnConfig, plan_churn
 
@@ -32,6 +35,25 @@ CORPUS_TRACES = 2843
 ALIAS_SHA256 = "ce1dba0ffb0b867bf558c93b1e2be976cd3b369bdc8e7d9226bf885e419e2204"
 ALIAS_SETS = 140
 ALIAS_PROBES = 83341
+#: One resolver over the lower 60% of the corpus's addresses, then all of
+#: them: the second pass replays accepted pairs, hits the pair cache and
+#: takes the corroboration shortcut (what batch and stream refreshes do).
+REFRESH_SHA256 = (
+    "58c5f81ca44e359037492641cc5bfa5488ecf98e7170e2f2960a2a68eb67bc64",
+    "5d51c7bfc894414bd1d27de594ab5c04a373b9562a49851bffd87be467312f78",
+)
+REFRESH_PROBES = 89126
+REFRESH_COUNTERS = {
+    "midar.pairs_probed": 25271,
+    "midar.pairs_accepted": 308,
+    "midar.pair_cache_hits": 8449,
+}
+#: One resolve with a 3% alias false-negative fault rate: corroboration
+#: re-merges every set a dropped pair would have split, so the sets equal
+#: the clean run's, but the rejected pairs cost extra probes.
+FAULTED_SHA256 = ALIAS_SHA256
+FAULTED_PROBES = 83749
+FAULTED_FALSE_NEGATIVES = 17
 #: Content fingerprint of the batch map (campaign + CFS, small, seed 0).
 BATCH_FINGERPRINT = (
     "619370b77b9baf62cf403d7c015194676fae8d0bbf9e68a7941e276a717e38d5"
@@ -77,6 +99,12 @@ def _corpus_digest(traces) -> str:
     return digest.hexdigest()
 
 
+def _corpus_addresses(traces) -> list[int]:
+    return sorted(
+        {address for trace in traces for address in trace.responsive_addresses()}
+    )
+
+
 def _alias_digest(alias_sets) -> str:
     digest = hashlib.sha256()
     for members in sorted(sorted(group) for group in alias_sets.sets):
@@ -110,15 +138,40 @@ class TestSubstrateGolden:
 
     def test_midar_over_corpus_addresses(self, batch_run):
         initial, _ = batch_run
-        addresses = sorted(
-            {address for trace in initial for address in trace.responsive_addresses()}
-        )
+        addresses = _corpus_addresses(initial)
         # A fresh environment: the IP-ID responder is stateful, and the
         # batch run above already probed the shared one.
         midar = build_environment(config=_config()).new_midar()
         alias_sets = midar.resolve(addresses)
         assert (len(alias_sets), midar.probes_sent) == (ALIAS_SETS, ALIAS_PROBES)
         assert _alias_digest(alias_sets) == ALIAS_SHA256
+
+    def test_midar_refresh_reuses_pair_verdicts(self, batch_run):
+        initial, _ = batch_run
+        addresses = _corpus_addresses(initial)
+        obs = Instrumentation()
+        midar = build_environment(config=_config()).new_midar(instrumentation=obs)
+        partial = midar.resolve(addresses[: len(addresses) * 6 // 10])
+        full = midar.resolve(addresses)
+        assert (_alias_digest(partial), _alias_digest(full)) == REFRESH_SHA256
+        assert midar.probes_sent == REFRESH_PROBES
+        assert {name: obs.counter(name) for name in REFRESH_COUNTERS} == (
+            REFRESH_COUNTERS
+        )
+
+    def test_midar_with_alias_false_negatives(self, batch_run):
+        initial, _ = batch_run
+        config = dataclasses.replace(
+            _config(), faults=FaultPlan(alias_false_negative=0.03)
+        )
+        env = build_environment(config=config)
+        midar = env.new_midar()
+        alias_sets = midar.resolve(_corpus_addresses(initial))
+        assert _alias_digest(alias_sets) == FAULTED_SHA256
+        assert midar.probes_sent == FAULTED_PROBES
+        assert env.fault_injector.counts["fault.alias_false_negative"] == (
+            FAULTED_FALSE_NEGATIVES
+        )
 
     def test_batch_final_fingerprint(self, batch_run):
         _, snapshot = batch_run
