@@ -16,8 +16,9 @@ if [[ "${1:-}" == "--fast" ]]; then
     fast=1
 fi
 
-echo "== substrate golden pins + MIDAR reference (fail fast, ~15 s) =="
-python -m pytest -x -q tests/measurement/test_substrate_golden.py tests/alias
+echo "== substrate golden pins + MIDAR and routing references (fail fast, ~20 s) =="
+python -m pytest -x -q tests/measurement/test_substrate_golden.py tests/alias \
+    tests/topology/test_routing_reference.py
 
 echo
 echo "== tier-1 test suite =="

@@ -65,23 +65,24 @@ class FollowupPlanner:
         for asn, facilities in facility_db.as_facilities.items():
             for facility_id in facilities:
                 self._tenants.setdefault(facility_id, set()).add(asn)
+        #: Address -> ((owner, candidates, queried IXPs), ranked plans):
+        #: the last ranking :meth:`plan` computed for an interface and
+        #: the inputs it was computed from.  The database and strategy
+        #: are fixed, so equal inputs rank equally.
+        self._ranked: dict[int, tuple[tuple, list[FollowupPlan]]] = {}
 
     # ------------------------------------------------------------------
 
-    def candidates_for(
-        self, state: InterfaceState, exclude: set[int] | None = None
-    ) -> list[FollowupPlan]:
+    def candidates_for(self, state: InterfaceState) -> list[FollowupPlan]:
         """Ranked follow-up targets for one unresolved interface."""
         if state.owner_asn is None or state.candidates is None:
             return []
-        exclude = exclude or set()
         candidates = state.candidates
         # Only ASes with presence inside the candidate set can tighten it.
         colocated: set[int] = set()
         for facility_id in candidates:
             colocated.update(self._tenants.get(facility_id, ()))
         colocated.discard(state.owner_asn)
-        colocated -= exclude
 
         queried_ixp_members: set[int] = set()
         for ixp_id in state.constrained_by_ixps:
@@ -124,6 +125,22 @@ class FollowupPlanner:
         )
         return plans
 
+    def _ranked_for(self, state: InterfaceState) -> list[FollowupPlan]:
+        """:meth:`candidates_for`, re-ranked only when the interface's
+        owner, candidates or queried IXPs changed since the last call."""
+        inputs = (state.owner_asn, state.candidates, state.constrained_by_ixps)
+        memo = self._ranked.get(state.address)
+        if memo is not None and memo[0] == inputs:
+            return memo[1]
+        plans = self.candidates_for(state)
+        frozen = (
+            state.owner_asn,
+            None if state.candidates is None else frozenset(state.candidates),
+            frozenset(state.constrained_by_ixps),
+        )
+        self._ranked[state.address] = (frozen, plans)
+        return plans
+
     def plan(
         self,
         states: dict[int, InterfaceState],
@@ -155,7 +172,7 @@ class FollowupPlanner:
         for state in unresolved:
             if len(plans) >= budget:
                 break
-            for plan in self.candidates_for(state):
+            for plan in self._ranked_for(state):
                 pair = (plan.near_asn, plan.target_asn)
                 if pair in already_probed or pair in planned_pairs:
                     continue

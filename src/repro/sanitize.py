@@ -196,7 +196,9 @@ def assert_rng(rng: Any, site: str) -> Any:
     an untagged stream reaching one means ambient or cross-shard RNG
     state leaked into inference — the runtime mirror of R011.
     """
-    if enabled() and rng_provenance(rng) is None:
+    # Provenance first: tagging is unconditional, so a tagged stream
+    # (every production draw) never reads the environment flag.
+    if rng_provenance(rng) is None and enabled():
         record_violation(
             "rng.untagged",
             f"{site}: draw from an RNG without substream provenance",

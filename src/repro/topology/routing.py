@@ -203,19 +203,14 @@ class Forwarder:
     def __init__(self, topology: Topology, routes: RouteComputer | None = None) -> None:
         self._topology = topology
         self._routes = routes or RouteComputer(topology)
-        # Backbone adjacency (sorted for determinism) per router.
-        self._backbone: dict[int, list] = {}
-        for router_id in topology.routers:
-            neighbors = [
-                adj
-                for adj in topology.adjacencies(router_id)
-                if not adj.is_interconnection
-            ]
-            neighbors.sort(key=lambda adj: adj.neighbor_router)
-            self._backbone[router_id] = neighbors
-        self._intra_cache: dict[
-            tuple[int, int, int], tuple[RouterHop, ...] | None
-        ] = {}
+        #: Backbone edges out of each router, built on first use (see
+        #: :meth:`_backbone_edges`).
+        self._backbone: dict[int, list[tuple[int, RouterHop]]] = {}
+        #: All-predecessor BFS tree per source router, built on first
+        #: use: router -> [(parent, hop into router), ...] over every
+        #: router of the source's AS reachable on the backbone (the
+        #: source itself has no entry).
+        self._trees: dict[int, dict[int, list[tuple[int, RouterHop]]]] = {}
         self._distance_cache: dict[tuple[int, int], float] = {}
         #: Hot-potato exits, (router, this AS, next AS) -> (egress
         #: router, ingress router, crossing hop): a pure function of the
@@ -346,61 +341,85 @@ class Forwarder:
             f"router {ingress_router} lacks an interface on link {link.link_id}"
         )  # pragma: no cover - construction guarantees the interface
 
-    def _intra_as_path(
-        self, src_router: int, dest_router: int, flow_id: int = 0
-    ) -> tuple[RouterHop, ...] | None:
-        """Shortest backbone path (excluding ``src_router``, including
-        ``dest_router``); hops carry backbone ingress interfaces.
+    def _backbone_edges(self, router_id: int) -> list[tuple[int, RouterHop]]:
+        """Memoised backbone edges out of ``router_id``, sorted by
+        neighbour for determinism: (neighbour, the hop a path records on
+        reaching it — the neighbour answering from its ingress
+        interface)."""
+        edges = self._backbone.get(router_id)
+        if edges is None:
+            adjacencies = sorted(
+                (
+                    adj
+                    for adj in self._topology.adjacencies(router_id)
+                    if not adj.is_interconnection
+                ),
+                key=lambda adj: adj.neighbor_router,
+            )
+            edges = [
+                (
+                    adj.neighbor_router,
+                    RouterHop(
+                        adj.neighbor_router,
+                        adj.ingress_address,
+                        adj.kind,
+                        adj.link_id,
+                    ),
+                )
+                for adj in adjacencies
+            ]
+            self._backbone[router_id] = edges
+        return edges
 
-        Memoised per (source, destination, flow) as an immutable tuple,
-        shared by every caller (callers only ``extend`` from it).
-
-        When several shortest paths exist (backbone chords), the ECMP
-        tie-break hashes ``flow_id`` with the router id, exactly like a
-        per-flow hardware hash: stable for one flow, divergent across
-        flows.
-        """
-        if src_router == dest_router:
-            return ()
-        cache_key = (src_router, dest_router, flow_id)
-        if cache_key in self._intra_cache:
-            return self._intra_cache[cache_key]
-        # BFS recording *all* minimal-distance predecessors.
+    def _predecessor_tree(
+        self, src_router: int
+    ) -> dict[int, list[tuple[int, RouterHop]]]:
+        """Memoised single-source BFS over the backbone recording *all*
+        minimal-distance predecessors of every reachable router, in
+        FIFO discovery order (Brandes' single-source pass)."""
+        tree = self._trees.get(src_router)
+        if tree is not None:
+            return tree
+        tree = {}
         distance = {src_router: 0}
-        predecessors: dict[int, list] = {}
         frontier = deque([src_router])
         while frontier:
             current = frontier.popleft()
-            if current == dest_router:
-                continue
-            for adjacency in self._backbone[current]:
-                neighbor = adjacency.neighbor_router
-                if neighbor not in distance:
-                    distance[neighbor] = distance[current] + 1
-                    predecessors[neighbor] = [(current, adjacency)]
+            next_distance = distance[current] + 1
+            for neighbor, hop in self._backbone_edges(current):
+                seen = distance.get(neighbor)
+                if seen is None:
+                    distance[neighbor] = next_distance
+                    tree[neighbor] = [(current, hop)]
                     frontier.append(neighbor)
-                elif distance[neighbor] == distance[current] + 1:
-                    predecessors[neighbor].append((current, adjacency))
-        if dest_router not in distance:
-            self._intra_cache[cache_key] = None
+                elif seen == next_distance:
+                    tree[neighbor].append((current, hop))
+        self._trees[src_router] = tree
+        return tree
+
+    def _intra_as_path(
+        self, src_router: int, dest_router: int, flow_id: int = 0
+    ) -> list[RouterHop] | None:
+        """Shortest backbone path (excluding ``src_router``, including
+        ``dest_router``); hops carry backbone ingress interfaces.
+
+        Walks back from ``dest_router`` over the source's memoised
+        predecessor tree (:meth:`_predecessor_tree`), so one BFS per
+        source serves every destination and flow.  When several
+        shortest paths exist (backbone chords), the ECMP tie-break
+        hashes ``flow_id`` with the router id, exactly like a per-flow
+        hardware hash: stable for one flow, divergent across flows.
+        """
+        if src_router == dest_router:
+            return []
+        tree = self._predecessor_tree(src_router)
+        if dest_router not in tree:
             return None
         hops: list[RouterHop] = []
         cursor = dest_router
         while cursor != src_router:
-            choices = predecessors[cursor]
-            parent, adjacency = choices[
-                hash((flow_id, cursor)) % len(choices)
-            ]
-            hops.append(
-                RouterHop(
-                    cursor,
-                    adjacency.ingress_address,
-                    adjacency.kind,
-                    adjacency.link_id,
-                )
-            )
-            cursor = parent
+            choices = tree[cursor]
+            cursor, hop = choices[hash((flow_id, cursor)) % len(choices)]
+            hops.append(hop)
         hops.reverse()
-        path = tuple(hops)
-        self._intra_cache[cache_key] = path
-        return path
+        return hops

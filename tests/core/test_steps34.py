@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.alias.midar import AliasSets
+from repro.core import PipelineConfig, build_environment
 from repro.core.alias_constraints import propagate_alias_constraints
 from repro.core.followup import FollowupPlanner
 from repro.core.types import InterfaceState, InterfaceStatus
@@ -94,12 +97,6 @@ class TestFollowupPlanner:
         plans = planner.candidates_for(state(1, {1, 2, 5}, owner=10))
         assert all(plan.target_asn != 10 for plan in plans)
 
-    def test_exclude_set_respected(self, toy_db):
-        planner = FollowupPlanner(toy_db)
-        unresolved = state(1, {1, 2, 5}, owner=10)
-        plans = planner.candidates_for(unresolved, exclude={50})
-        assert all(plan.target_asn != 50 for plan in plans)
-
     def test_unconstrained_state_has_no_plans(self, toy_db):
         planner = FollowupPlanner(toy_db)
         assert planner.candidates_for(state(1, None)) == []
@@ -138,3 +135,62 @@ class TestFollowupPlanner:
             1: state(1, {1}, status=InterfaceStatus.RESOLVED),
         }
         assert planner.plan(states, set(), budget=5) == []
+
+    def test_in_place_changes_re_rank(self, toy_db):
+        """Each ranking input, changed in place on the same state object,
+        changes the plan: the memo must key on all of them, not on the
+        address."""
+        planner = FollowupPlanner(toy_db)
+        unresolved = state(1, {1, 2, 5}, owner=10)
+        states = {1: unresolved}
+
+        def first_plan():
+            (plan,) = planner.plan(states, set(), budget=1)
+            (fresh,) = FollowupPlanner(toy_db).plan(states, set(), budget=1)
+            assert plan == fresh
+            return plan.near_asn, plan.target_asn
+
+        # Strict subsets 40 ({5}) and 50 ({1}) tie; the lower ASN wins.
+        assert first_plan() == (10, 40)
+        # AS 40 is a member of the queried IXP 100, AS 50 is not.
+        unresolved.constrained_by_ixps.add(100)
+        assert first_plan() == (10, 50)
+        # Over {2, 4}, AS 20 is the only colocated target.
+        unresolved.candidates.clear()
+        unresolved.candidates.update({2, 4})
+        assert first_plan() == (10, 20)
+        # The same candidates seen from AS 20: AS 10 is now the target.
+        unresolved.owner_asn = 20
+        assert first_plan() == (20, 10)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"followup_strategy": "smallest-overlap"},
+        {"followup_strategy": "random"},
+        {"degraded_mode": True},
+    ],
+    ids=["smallest-overlap", "random", "degraded"],
+)
+def test_memoised_plans_match_fresh_planner(monkeypatch, knobs):
+    """Every iteration's Step-4 plan of a full CFS run (small world,
+    seed 0) equals what a fresh, memo-free planner ranks from the same
+    states."""
+    original = FollowupPlanner.plan
+    iterations = []
+
+    def checked(self, states, already_probed, budget):
+        plans = original(self, states, already_probed, budget)
+        fresh = FollowupPlanner(self._db, self.strategy)
+        assert plans == original(fresh, states, already_probed, budget)
+        iterations.append(len(plans))
+        return plans
+
+    monkeypatch.setattr(FollowupPlanner, "plan", checked)
+    config = PipelineConfig.small(seed=0)
+    env = build_environment(config=config)
+    corpus = env.run_campaign()
+    env.run_cfs(corpus, cfs_config=dataclasses.replace(config.cfs, **knobs))
+    # Enough planning rounds for the memo to be read, not just filled.
+    assert len(iterations) > 5 and sum(iterations) > 0

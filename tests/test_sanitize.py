@@ -111,6 +111,12 @@ class TestRngProvenance:
             with pytest.raises(SanitizerViolation, match="rng.untagged"):
                 assert_rng(Random(), "test.site")
 
+    def test_assert_rng_trips_when_armed_by_environment(self, monkeypatch):
+        monkeypatch.setenv(sanitize.ENV_FLAG, "1")
+        assert_rng(substream("ok", 1), "site")
+        with pytest.raises(SanitizerViolation, match="rng.untagged"):
+            assert_rng(Random(), "test.site")
+
     def test_assert_rng_is_silent_when_disarmed(self):
         assert_rng(Random(), "test.site")
         assert sanitize.violations() == ()
