@@ -25,7 +25,7 @@ echo "== tier-1 test suite =="
 python -m pytest -x -q
 
 echo
-echo "== reprolint self-gate (flow rules on) =="
+echo "== reprolint self-gate =="
 python -m repro lint
 
 if [[ "$fast" == "0" ]]; then

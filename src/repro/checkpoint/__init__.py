@@ -4,7 +4,7 @@ Three layers, smallest first:
 
 * :mod:`repro.checkpoint.atomic` — durable write-temp-fsync-rename
   file replacement (the only way checkpoint bytes reach disk; reprolint
-  rule R008 enforces it);
+  rule R007 enforces it);
 * :mod:`repro.checkpoint.store` — :class:`CheckpointStore`, a versioned
   manifest plus checksummed per-stage files, where every corruption
   mode degrades to "recompute with a warning", never a crash;

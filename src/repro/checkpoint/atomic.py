@@ -1,7 +1,7 @@
 """Atomic, durable file writes for checkpoint data.
 
 Every byte the checkpoint subsystem persists goes through
-:func:`atomic_write_bytes` (reprolint rule R008 enforces this): the
+:func:`atomic_write_bytes` (reprolint rule R007 enforces this): the
 payload is written to a same-directory temporary file, flushed and
 fsynced, then renamed over the destination, and finally the directory
 entry itself is fsynced.  A crash at any instant leaves either the old

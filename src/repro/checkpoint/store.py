@@ -18,7 +18,7 @@ file.  Every degradation is reported through the ``warn`` callback and
 the ``checkpoint.corrupt`` event.
 
 Writes go through :mod:`repro.checkpoint.atomic` exclusively (reprolint
-rule R008), and the manifest is rewritten after each stage write, so
+rule R007), and the manifest is rewritten after each stage write, so
 the on-disk state is consistent after any prefix of the run.
 """
 

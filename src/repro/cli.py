@@ -23,8 +23,7 @@ Usage (via ``python -m repro``)::
                              [--churn 0,1] [--faults 0,1]
                              [--json PATH]
     python -m repro lint     [PATH] [--format text|json] [--rule R00X]
-                             [--baseline [FILE]] [--no-flow]
-                             [--graph FILE]
+                             [--graph FILE] [--list-rules]
 
 ``summary`` prints the generated Internet's shape; ``run`` executes the
 full campaign + CFS and reports (optionally exporting the inferred map

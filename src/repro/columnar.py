@@ -11,7 +11,7 @@ The dataclass API stays the module boundary: :class:`TraceArrays` is a
 *codec target*, built from any objects shaped like
 :class:`repro.measurement.traceroute.Traceroute` (duck-typed, so this
 module imports nothing from the inference tree and sits at layer 1 of
-the R014 DAG) and rebuilt into them on request.  Field round-trips are
+R009's layering table) and rebuilt into them on request.  Field round-trips are
 exact: addresses/ASNs/TTLs are integers, RTTs are IEEE doubles stored
 in ``array('d')``, and ``None`` hops ride dedicated sentinels — the
 property test in ``tests/core/test_columnar.py`` pins every field.

@@ -6,7 +6,7 @@ no wall-clock in the inference layers, ordered iteration into exports,
 a closed event namespace) are invariants of the *source*, not of any
 one run — so they are enforced here, statically, as named rules over
 the AST.  See :mod:`repro.devtools.lint` for the engine,
-:mod:`repro.devtools.rules` for the rules (R001–R006), and
+:mod:`repro.devtools.rules` for the rule catalog (R001–R009), and
 :mod:`repro.devtools.cli` for the ``repro-lint`` / ``repro lint``
 entry points.
 """

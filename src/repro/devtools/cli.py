@@ -2,13 +2,13 @@
 
 Usage::
 
-    repro-lint [PATH] [--format text|json] [--rule R00X] [--baseline [FILE]]
-               [--no-flow] [--graph FILE]
+    repro-lint [PATH] [--format text|json] [--rule R00X] [--graph FILE]
+               [--list-rules]
 
 PATH defaults to the installed ``repro`` package, so a bare
 ``repro-lint`` checks this repository's own invariants.  Exit status:
 0 clean, 1 findings, 2 usage/configuration error (missing path,
-unknown rule, unreadable baseline) — errors are one line on stderr,
+unknown rule, unwritable graph file) — errors are one line on stderr,
 never a traceback.
 """
 
@@ -19,18 +19,10 @@ from pathlib import Path
 
 from ..cliutil import cli_error
 from .lint import LintError, run_lint
-from .report import (
-    load_baseline,
-    render_json,
-    render_text,
-    subtract_baseline,
-    write_baseline,
-)
+from .report import render_json, render_text
 from .rules import rule_catalog
 
 __all__ = ["main", "build_parser", "add_lint_arguments", "run_lint_command"]
-
-DEFAULT_BASELINE = ".reprolint-baseline.json"
 
 
 def _default_root() -> Path:
@@ -61,22 +53,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="run only this rule (repeatable; default: all rules)",
     )
     parser.add_argument(
-        "--baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE,
-        default=None,
-        metavar="FILE",
-        help="gate only findings absent from FILE (default "
-        f"{DEFAULT_BASELINE}); records the current findings when FILE "
-        "does not exist yet",
-    )
-    parser.add_argument(
-        "--no-flow",
-        dest="flow",
-        action="store_false",
-        help="skip the interprocedural flow rules (R011-R014)",
-    )
-    parser.add_argument(
         "--graph",
         metavar="FILE",
         default=None,
@@ -98,25 +74,7 @@ def run_lint_command(args: argparse.Namespace) -> int:
         return 0
     try:
         root = Path(args.path) if args.path is not None else _default_root()
-        result = run_lint(
-            root,
-            rules=args.rule,
-            flow=getattr(args, "flow", True),
-            graph=args.graph,
-        )
-        if args.baseline is not None:
-            baseline_path = Path(args.baseline)
-            if baseline_path.exists():
-                result = subtract_baseline(
-                    result, load_baseline(baseline_path)
-                )
-            else:
-                write_baseline(baseline_path, result)
-                print(
-                    f"baseline recorded: {len(result.findings)} finding(s) "
-                    f"-> {baseline_path}"
-                )
-                return 0
+        result = run_lint(root, rules=args.rule, graph=args.graph)
     except LintError as error:
         return cli_error(str(error))
     if args.format == "json":

@@ -1,22 +1,22 @@
 """reproflow — whole-program dataflow layer under reprolint.
 
-The per-file rules (R001–R010) reason locally; the invariants they
-protect — seeded determinism, snapshot immutability, supervised
-failure containment — are just as easily broken *across* module,
-thread, and process boundaries.  This package builds the project-wide
-picture those checks need:
+The invariants reprolint protects — seeded determinism, declared
+mutation points, supervised failure containment, layering — are just
+as easily broken *across* module, thread, and process boundaries as
+within one file.  This package builds the project-wide picture the
+rules that need it (R001, R005, R008, R009) consume:
 
 * :mod:`.symbols` — symbol table: every module, class, function and
   method, import maps, and inferred attribute types;
 * :mod:`.graph` — the module-level import graph (with the layering
-  ranks R014 enforces) and a resolved intra-project call graph,
+  ranks R009 enforces) and a resolved intra-project call graph,
   exportable as JSON via ``repro lint --graph``;
 * :mod:`.taint` — a worklist solver propagating RNG seed-provenance
   tags through assignments, calls, returns, closures, and dataclass
-  fields (R011's lattice);
+  fields (R001's lattice);
 * :mod:`.raises` — interprocedural raised-exception sets checked
-  against supervisor containment contracts (R013);
-* :mod:`.rules_flow` — the flow rules themselves (R011–R014).
+  against supervisor containment contracts (R008);
+* :mod:`.rules_flow` — the rules built on it.
 
 All of it is built once per lint run and memoized on the
 :class:`~repro.devtools.lint.Project` via :class:`FlowAnalysis`.

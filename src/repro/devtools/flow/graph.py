@@ -3,8 +3,11 @@
 The import graph covers *module-level runtime* imports only:
 ``TYPE_CHECKING`` blocks and function-local imports do not execute at
 import time, so they cannot create import cycles or layering
-violations, and excluding them keeps R014 aligned with what Python
-actually executes.
+violations, and excluding them keeps R009's layering check aligned
+with what Python actually executes.  The confined external roots
+(:data:`CONFINED_IMPORTS`) are the exception: R009 checks every import
+of those, function-local ones included, because a lazy import reaches
+the same machinery.
 
 Layering: each top-level unit of the tree (package directory or root
 module) has a rank; a module-level runtime import must target a
@@ -26,7 +29,6 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .symbols import (
     GENERIC_METHOD_NAMES,
@@ -36,11 +38,11 @@ from .symbols import (
     scope_statements,
 )
 
-__all__ = ["FlowGraphs", "LAYER_RANKS", "unit_of"]
+__all__ = ["CONFINED_IMPORTS", "FlowGraphs", "LAYER_RANKS", "unit_of"]
 
 #: Architecture layering of the repro tree, low ranks at the bottom.
 #: Documented in DESIGN.md §5j; a new top-level package must be given
-#: a rank here before R014 will police it.
+#: a rank here before R009 will police it.
 LAYER_RANKS: dict[str, int] = {
     # 0 — leaves: observability, CLI plumbing, runtime sanitizer
     "obs": 0,
@@ -74,6 +76,14 @@ LAYER_RANKS: dict[str, int] = {
     "cli": 9,
     "__init__": 10,
     "__main__": 10,
+}
+
+#: External top-level modules only one unit may import, at any depth
+#: (root -> the unit).  Worker processes, start methods and result
+#: order are the executor's whole job, so process pools stay in exec.
+CONFINED_IMPORTS: dict[str, str] = {
+    "multiprocessing": "exec",
+    "concurrent": "exec",
 }
 
 
@@ -208,14 +218,14 @@ class FlowGraphs:
     # Call graph
     # ------------------------------------------------------------------
 
-    def _local_types(self, info: FunctionInfo) -> dict[str, str]:
+    def local_types(self, info: FunctionInfo) -> dict[str, str]:
         """Name -> project class name for params and simple locals,
         including names inherited from enclosing function scopes."""
         env: dict[str, str] = {}
         if info.parent_qual is not None:
             parent = self.symbols.functions.get(info.parent_qual)
             if parent is not None:
-                env.update(self._local_types(parent))
+                env.update(self.local_types(parent))
         args = info.node.args
         for arg in args.posonlyargs + args.args + args.kwonlyargs:
             cls = _annotation_class(arg.annotation)
@@ -237,29 +247,30 @@ class FlowGraphs:
                         env[target.id] = cls
                 if target is None or not isinstance(target, ast.Name):
                     continue
-                cls = self._expr_class(value, info, env)
+                cls = self.expr_class(value, info, env)
                 if cls is not None:
                     env[target.id] = cls
         return env
 
-    def _expr_class(
+    def expr_class(
         self,
         expr: ast.expr | None,
-        info: FunctionInfo,
+        info: FunctionInfo | None,
         env: dict[str, str],
     ) -> str | None:
-        """Project class constructed/held by ``expr``, if inferable."""
+        """Project class constructed/held by ``expr``, if inferable
+        (``info`` is None at module scope)."""
         if expr is None:
             return None
         cls = self.symbols.call_class_name(expr)
         if cls is not None:
             return cls
         if isinstance(expr, ast.Name):
-            if expr.id == "self" and info.cls is not None:
+            if expr.id == "self" and info is not None and info.cls:
                 return info.cls
             return env.get(expr.id)
         if isinstance(expr, ast.Attribute):
-            base = self._expr_class(expr.value, info, env)
+            base = self.expr_class(expr.value, info, env)
             if base is not None:
                 for name in self.symbols.mro_names(base):
                     owner = self.symbols.classes.get(name)
@@ -267,7 +278,7 @@ class FlowGraphs:
                         return owner.attr_types[expr.attr]
         return None
 
-    def _resolve_name_call(
+    def resolve_name_call(
         self, name: str, info: FunctionInfo
     ) -> FunctionInfo | None:
         # Nested function in this or an enclosing function scope?
@@ -310,7 +321,7 @@ class FlowGraphs:
         env: dict[str, str],
     ) -> FunctionInfo | None:
         method = func.attr
-        base_cls = self._expr_class(func.value, info, env)
+        base_cls = self.expr_class(func.value, info, env)
         if base_cls is not None:
             resolved = self.symbols.lookup_method(base_cls, method)
             if resolved is not None:
@@ -339,14 +350,14 @@ class FlowGraphs:
         return None
 
     def _resolve_calls(self, info: FunctionInfo) -> None:
-        env = self._local_types(info)
+        env = self.local_types(info)
         sites: list[tuple[ast.Call, FunctionInfo]] = []
         for node in scope_statements(info.node):
             if not isinstance(node, ast.Call):
                 continue
             resolved: FunctionInfo | None = None
             if isinstance(node.func, ast.Name):
-                resolved = self._resolve_name_call(node.func.id, info)
+                resolved = self.resolve_name_call(node.func.id, info)
             elif isinstance(node.func, ast.Attribute):
                 resolved = self._resolve_attr_call(node, node.func, info, env)
             if resolved is not None:
@@ -356,16 +367,6 @@ class FlowGraphs:
             self.calls[info.qual] = sorted(
                 {callee.qual for _, callee in sites}
             )
-
-    def local_types(self, info: FunctionInfo) -> dict[str, str]:
-        """Public accessor used by the flow rules."""
-        return self._local_types(info)
-
-    def expr_class(
-        self, expr: ast.expr, info: FunctionInfo, env: dict[str, str]
-    ) -> str | None:
-        """Public accessor used by the flow rules."""
-        return self._expr_class(expr, info, env)
 
     # ------------------------------------------------------------------
     # Export
@@ -402,6 +403,3 @@ class FlowGraphs:
     def render_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=False) + "\n"
 
-
-def edges_from(edges: Iterable[ImportEdge], src: str) -> list[ImportEdge]:
-    return [edge for edge in edges if edge.src == src]

@@ -1,4 +1,4 @@
-"""Interprocedural raised-exception sets (R013's engine).
+"""Interprocedural raised-exception sets (R008's engine).
 
 For every function we compute the set of exception *types* that can
 escape it, propagated over the resolved call graph to a fixpoint and

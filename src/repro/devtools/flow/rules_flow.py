@@ -1,91 +1,63 @@
-"""The flow rules R011–R014 (interprocedural; see package docstring).
+"""The rules that run on the flow engine: R001, R005, R008 and R009.
 
-All four consume the shared :class:`~repro.devtools.flow.FlowAnalysis`
-(memoized per project) from their ``finalize`` pass — they need the
-whole program, so a per-file pass would be wasted work.
+Each consumes the shared :class:`~repro.devtools.flow.FlowAnalysis`
+(memoized per project) from its ``finalize`` pass — they need the
+whole program (symbol table, call graph, taint facts), so a per-file
+pass would be wasted work.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..lint import Finding, Project, Rule, SourceFile, parent_of
+from ..lint import Finding, Project, Rule, SourceFile, parent_of, qualname
 from . import FlowAnalysis
-from .graph import LAYER_RANKS, unit_of
+from .graph import CONFINED_IMPORTS, LAYER_RANKS, unit_of
 from .raises import RaisesAnalysis
 from .symbols import FunctionInfo, scope_statements
 
 __all__ = [
     "ExceptionContainment",
     "ImportLayering",
+    "MutationDiscipline",
     "SeedProvenance",
-    "SharedStateRace",
-    "FLOW_RULES",
 ]
 
-#: Container-mutating method names (on an escaped object's attribute
-#: or on the object itself) that count as writes for R012.
-_MUTATOR_METHODS = frozenset(
-    {
-        "add", "append", "clear", "discard", "extend", "insert", "pop",
-        "popitem", "remove", "setdefault", "sort", "update",
-    }
-)
 
-_LOCKISH = ("lock", "mutex", "guard", "sem")
-
-
-def _lock_guarded(node: ast.AST) -> bool:
-    """True when ``node`` sits inside a ``with <something lock-ish>:``."""
-    current = parent_of(node)
-    while current is not None:
-        if isinstance(current, (ast.With, ast.AsyncWith)):
-            for item in current.items:
-                for name_node in ast.walk(item.context_expr):
-                    text = None
-                    if isinstance(name_node, ast.Name):
-                        text = name_node.id
-                    elif isinstance(name_node, ast.Attribute):
-                        text = name_node.attr
-                    if text is not None and any(
-                        mark in text.lower() for mark in _LOCKISH
-                    ):
-                        return True
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Stop at the owning function: an outer caller's lock does
-            # not guard code in a function that may be called bare.
-            return False
-        current = parent_of(current)
-    return False
-
-
-def _base_name(expr: ast.expr) -> str | None:
-    """Leftmost ``Name`` of an attribute/subscript chain."""
-    while isinstance(expr, (ast.Attribute, ast.Subscript)):
-        expr = expr.value
-    return expr.id if isinstance(expr, ast.Name) else None
+# ----------------------------------------------------------------------
+# R001 — seed provenance
+# ----------------------------------------------------------------------
 
 
 class SeedProvenance(Rule):
-    """R011 — every RNG reaching the measurement/alias/fault/serve/exec
-    draw sites must derive from ``exec.substream()`` or an explicit
-    seed; ambient (module-level or global-``random``) streams and RNG
-    instances crossing the fork boundary are findings."""
+    """Every RNG draw must come from a stream derived via
+    ``exec.substream()`` or built with an explicit seed.  Flagged: any
+    call of or reference to a ``random.<function>`` (the process-global
+    stream any import can perturb), ``Random()`` with no seed and
+    ``SystemRandom`` (both seed from the OS), draws whose receiver is
+    module-level RNG state — traced by the taint solver through
+    assignments, calls and returns, so an ambient stream handed down a
+    call chain is still flagged at the draw — and RNG instances
+    crossing the fork boundary."""
 
-    id = "R011"
-    title = "pipeline RNG draws derive from substream or an explicit seed"
+    id = "R001"
+    title = "RNG draws derive from substream or an explicit seed"
 
-    #: Units whose draws feed trace/alias/fault/ingest inference.
-    SINK_UNITS = frozenset({"alias", "exec", "faults", "measurement", "serve"})
     #: Fork entry points whose ``context`` payload must not carry RNGs.
     FORK_ENTRY_POINTS = frozenset({"parallel_map", "supervised_map"})
 
+    _GLOBAL_STREAM = (
+        "uses the process-global random stream; draw from a seeded "
+        "random.Random instance instead"
+    )
+
     def finalize(self, project: Project) -> Iterable[Finding]:
         flow = FlowAnalysis.of(project)
+        for source in project.files:
+            yield from self._check_random_module(source, flow)
         for draw in flow.taint.iter_draws():
-            if unit_of(draw.rel) not in self.SINK_UNITS:
-                continue
             if "ambient" not in draw.tags:
                 continue
             yield Finding(
@@ -101,6 +73,43 @@ class SeedProvenance(Rule):
                 ),
             )
         yield from self._check_fork_context(flow)
+
+    def _check_random_module(
+        self, source: SourceFile, flow: FlowAnalysis
+    ) -> Iterator[Finding]:
+        imports = flow.symbols.modules[source.rel].imports
+        for node in ast.walk(source.tree):
+            if not isinstance(node, (ast.Name, ast.Attribute)):
+                continue
+            parent = parent_of(node)
+            if isinstance(parent, ast.Attribute):
+                continue  # judge the outermost link of a chain only
+            qual = qualname(node, imports)
+            if qual is None or not qual.startswith("random."):
+                continue
+            called = isinstance(parent, ast.Call) and parent.func is node
+            if qual == "random.Random":
+                if called and not parent.args and not parent.keywords:
+                    yield self.finding(
+                        source,
+                        parent,
+                        "Random() with no seed argument seeds from the OS",
+                    )
+            elif qual == "random.SystemRandom":
+                if called:
+                    yield self.finding(
+                        source,
+                        parent,
+                        "SystemRandom draws OS entropy; unseedable",
+                    )
+            elif called:
+                yield self.finding(
+                    source, parent, f"{qual}() {self._GLOBAL_STREAM}"
+                )
+            else:
+                yield self.finding(
+                    source, node, f"{qual} {self._GLOBAL_STREAM}"
+                )
 
     def _check_fork_context(self, flow: FlowAnalysis) -> Iterator[Finding]:
         for qual, sites in sorted(flow.graphs.call_sites.items()):
@@ -137,91 +146,403 @@ class SeedProvenance(Rule):
                             )
 
 
-class SharedStateRace(Rule):
-    """R012 — objects that escape into serve/soak worker threads may
-    only be mutated at their documented atomic points (``__init__``,
-    the per-class atomic method set, or under a lock)."""
+# ----------------------------------------------------------------------
+# R005 — state mutates only at its declared mutation points
+# ----------------------------------------------------------------------
 
-    id = "R012"
-    title = "thread-shared state mutates only at documented atomic points"
-
-    #: Documented atomic mutation points per thread-escaped class.
-    ATOMIC_METHODS: dict[str, frozenset[str]] = {
-        "QueryEngine": frozenset({"swap"}),
-        "ServiceHealth": frozenset(
-            {
-                "transition",
-                "record_failure",
-                "record_quarantine",
-                "record_rollback",
-                "record_publish",
-                "record_map_assessment",
-                "subscribe",
-            }
-        ),
+#: Container methods that mutate their receiver in place.
+_MUTATOR_METHODS = frozenset(
+    {
+        "add", "append", "clear", "discard", "extend", "insert", "pop",
+        "popitem", "remove", "reverse", "setdefault", "sort", "update",
     }
+)
+
+_LOCKISH = ("lock", "mutex", "guard", "sem")
+
+#: Verb of an ``object.__setattr__`` write on a target other than self.
+_BYPASS = "object.__setattr__ on"
+
+
+def _lock_guarded(node: ast.AST) -> bool:
+    """True when ``node`` sits inside a ``with <something lock-ish>:``."""
+    current = parent_of(node)
+    while current is not None:
+        if isinstance(current, (ast.With, ast.AsyncWith)):
+            for item in current.items:
+                for name_node in ast.walk(item.context_expr):
+                    text = None
+                    if isinstance(name_node, ast.Name):
+                        text = name_node.id
+                    elif isinstance(name_node, ast.Attribute):
+                        text = name_node.attr
+                    if text is not None and any(
+                        mark in text.lower() for mark in _LOCKISH
+                    ):
+                        return True
+        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # Stop at the owning function: an outer caller's lock does
+            # not guard code in a function that may be called bare.
+            return False
+        current = parent_of(current)
+    return False
+
+
+def _base_name(expr: ast.expr) -> str | None:
+    """Leftmost ``Name`` of an attribute/subscript chain."""
+    while isinstance(expr, (ast.Attribute, ast.Subscript)):
+        expr = expr.value
+    return expr.id if isinstance(expr, ast.Name) else None
+
+
+@dataclass(frozen=True, slots=True)
+class _Write:
+    """One write site: the node to report, the object whose state it
+    changes, and how."""
+
+    node: ast.AST
+    obj: ast.expr
+    verb: str
+
+
+def _writes(nodes: Iterable[ast.AST]) -> Iterator[_Write]:
+    """The write detector: assignment, augmented or annotated
+    assignment and ``del`` through an attribute or subscript, the
+    mutating container methods, ``setattr``/``delattr``, and
+    ``object.__setattr__`` on a target other than ``self``.  Rebinding
+    a bare name is not a write through the value it held."""
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in _MUTATOR_METHODS
+            ):
+                yield _Write(node, func.value, f"calls .{func.attr}() on")
+            elif not node.args:
+                continue
+            elif isinstance(func, ast.Name) and func.id in (
+                "setattr",
+                "delattr",
+            ):
+                yield _Write(node, node.args[0], f"calls {func.id}() on")
+            elif (
+                isinstance(func, ast.Attribute)
+                and func.attr == "__setattr__"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "object"
+                and not (
+                    isinstance(node.args[0], ast.Name)
+                    and node.args[0].id == "self"
+                )
+            ):
+                yield _Write(node, node.args[0], _BYPASS)
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        verb = "deletes" if isinstance(node, ast.Delete) else "assigns"
+        for target in targets:
+            if isinstance(target, ast.Attribute):
+                yield _Write(
+                    target, target.value, f"{verb} .{target.attr} on"
+                )
+            elif isinstance(target, ast.Subscript):
+                yield _Write(target, target.value, f"{verb} [...] on")
+
+
+def _chain(expr: ast.expr) -> Iterator[ast.expr]:
+    """``expr`` and every object it is reached through: writing into
+    ``a.b[k]`` changes ``a.b`` and therefore ``a``."""
+    yield expr
+    while isinstance(expr, (ast.Attribute, ast.Subscript)):
+        expr = expr.value
+        yield expr
+
+
+def _named(identifier: str, stem: str) -> bool:
+    low = identifier.lower()
+    # data_health is a per-interface inference field, not the machine.
+    return low == stem or (
+        low.endswith(f"_{stem}") and low != "data_health"
+    )
+
+
+def _typed_params(tree: ast.AST, type_name: str) -> set[str]:
+    """Parameter names annotated ``type_name`` anywhere in the file."""
+    return {
+        arg.arg
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (
+            *node.args.posonlyargs,
+            *node.args.args,
+            *node.args.kwonlyargs,
+        )
+        if arg.annotation is not None
+        and type_name in ast.unparse(arg.annotation)
+    }
+
+
+def _mentions(expr: ast.expr, stem: str, typed: set[str]) -> bool:
+    for node in ast.walk(expr):
+        if isinstance(node, ast.Name) and (
+            node.id in typed or _named(node.id, stem)
+        ):
+            return True
+        if isinstance(node, ast.Attribute) and _named(node.attr, stem):
+            return True
+    return False
+
+
+@dataclass(slots=True)
+class _Scope:
+    """What R005 knows about one function (or module) scope."""
+
+    source: SourceFile
+    #: The function, or None for module-level code.
+    info: FunctionInfo | None
+    #: The method the scope is (or is nested in), if any.
+    method: FunctionInfo | None
+    #: Local name -> project class.
+    env: dict[str, str]
+    #: Names this scope shares with other threads.
+    shared: set[str]
+    #: Parameters annotated ``MapSnapshot`` / ``ServiceHealth``.
+    snapshots: set[str]
+    healths: set[str]
+
+
+def _is_mutation_point(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Name):
+        return decorator.id == "mutation_point"
+    return (
+        isinstance(decorator, ast.Attribute)
+        and decorator.attr == "mutation_point"
+    )
+
+
+class MutationDiscipline(Rule):
+    """State changes only where its owner says it may.  One write
+    detector (:func:`_writes`) runs over every scope against one list
+    of protected state:
+
+    * **frozen dataclasses** — written only in their defining module
+      (derive a new instance elsewhere); ``object.__setattr__`` on
+      anything but ``self`` bypasses a freeze wherever it appears;
+    * **thread-shared state** — names a ``threading.Thread`` target
+      closes over or is handed, and the classes of those objects;
+    * **classes that declare mutation points** — methods decorated
+      with :func:`repro.sanitize.mutation_point`, the same declaration
+      the runtime guard reads.  A thread-shared or declaring class is
+      written only in its ``__init__``, its mutation points, or under
+      a lock;
+    * **published snapshots** under ``serve/`` — never written in place
+      (the read path is copy-on-write: build a new one and swap it);
+    * **service health** outside ``serve/health.py`` — never written;
+      go through ``transition()`` or a ``record_*`` helper.
+
+    Snapshot and health values are recognised by name
+    (``snapshot``/``*_snapshot``, ``health``/``*_health`` but not the
+    per-interface ``data_health``) or by a ``MapSnapshot``/
+    ``ServiceHealth`` parameter annotation; everything else by the flow
+    engine's class inference.  Each write yields at most one finding.
+    """
+
+    id = "R005"
+    title = "state mutates only at its declared mutation points"
+
+    #: The one module allowed to write service health state.
+    HEALTH_MODULE = "serve/health.py"
 
     def finalize(self, project: Project) -> Iterable[Finding]:
         flow = FlowAnalysis.of(project)
-        escaped_classes: set[str] = set()
-        findings: list[Finding] = []
+        thread_names, escaped = self._thread_shared(flow)
+        self._flow = flow
+        self._frozen = project.frozen_dataclasses
+        self._points = self._mutation_points(flow, escaped)
+        by_rel: dict[str, list[FunctionInfo]] = {}
+        for info in flow.symbols.functions.values():
+            by_rel.setdefault(info.rel, []).append(info)
         for source in project.files:
-            findings.extend(
-                self._check_thread_sites(source, flow, escaped_classes)
+            snapshots = _typed_params(source.tree, "MapSnapshot")
+            healths = _typed_params(source.tree, "ServiceHealth")
+            infos: list[FunctionInfo | None] = [None]
+            infos.extend(by_rel.get(source.rel, ()))
+            for info in infos:
+                scope = _Scope(
+                    source=source,
+                    info=info,
+                    method=self._method_of(info, flow),
+                    env=(
+                        flow.graphs.local_types(info)
+                        if info is not None
+                        else self._module_types(source.tree, flow)
+                    ),
+                    shared=self._shared_names(info, thread_names, flow),
+                    snapshots=snapshots,
+                    healths=healths,
+                )
+                node = info.node if info is not None else source.tree
+                for write in _writes(scope_statements(node)):
+                    message = self._judge(write, scope)
+                    if message is not None:
+                        yield self.finding(source, write.node, message)
+
+    def _judge(self, write: _Write, scope: _Scope) -> str | None:
+        """The first protection ``write`` breaks, as a message."""
+        if write.verb == _BYPASS:
+            return (
+                "object.__setattr__ on a non-self target bypasses a "
+                "dataclass freeze; derive a new instance instead"
             )
-        escaped_classes.update(
-            name for name in self.ATOMIC_METHODS if name in flow.symbols.classes
-        )
-        for cls_name in sorted(escaped_classes):
-            findings.extend(self._check_class_methods(cls_name, flow))
-        findings.extend(self._check_outside_writes(escaped_classes, flow))
-        return findings
-
-    # -- thread spawn sites -------------------------------------------
-
-    def _check_thread_sites(
-        self,
-        source: SourceFile,
-        flow: FlowAnalysis,
-        escaped_classes: set[str],
-    ) -> Iterator[Finding]:
-        module = flow.symbols.modules.get(source.rel)
-        imports = module.imports if module is not None else {}
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
+        what = f"{write.verb} {ast.unparse(write.obj)}"
+        locked = _lock_guarded(write.node)
+        name = _base_name(write.obj)
+        if name in scope.shared and not locked:
+            return (
+                f"thread body {what}, and {name!r} is shared with other "
+                "threads; guard the write with a lock or route it "
+                "through the object's mutation point"
+            )
+        method = scope.method
+        for link in _chain(write.obj):
+            cls = self._flow.graphs.expr_class(
+                link, method or scope.info, scope.env
+            )
+            if cls is None:
                 continue
-            func = node.func
-            dotted = None
-            if isinstance(func, ast.Name):
-                dotted = imports.get(func.id)
-            elif isinstance(func, ast.Attribute) and isinstance(
-                func.value, ast.Name
+            home = self._frozen.get(cls)
+            if home is not None and home != scope.source.rel:
+                return (
+                    f"{what}, a frozen {cls} (defined in {home}); derive "
+                    "a new instance instead"
+                )
+            allowed = self._points.get(cls)
+            if allowed is None or locked or (
+                method is not None
+                and method.cls == cls
+                and method.name in allowed
             ):
-                base = imports.get(func.value.id)
-                if base is not None:
-                    dotted = f"{base}.{func.attr}"
-            if dotted != "threading.Thread":
                 continue
-            target_info, extra_args = self._thread_target(node, source, flow)
-            if target_info is None:
-                continue
-            escaped = self._escaped_names(target_info, extra_args, flow)
-            owner = flow.symbols.functions.get(target_info.parent_qual or "")
-            env = (
-                flow.graphs.local_types(owner)
-                if owner is not None
-                else {}
+            where = (
+                scope.info.qual.split("::", 1)[1]
+                if scope.info is not None
+                else "module code"
             )
-            for name in sorted(escaped):
-                cls = env.get(name)
+            return (
+                f"{where} {what}, {cls} state, outside its mutation "
+                f"points ({', '.join(sorted(allowed))}) and without a lock"
+            )
+        if unit_of(scope.source.rel) == "serve" and _mentions(
+            write.obj, "snapshot", scope.snapshots
+        ):
+            return (
+                f"{what}, a published snapshot; the read path is "
+                "copy-on-write — build a new snapshot and swap it"
+            )
+        if scope.source.rel != self.HEALTH_MODULE and _mentions(
+            write.obj, "health", scope.healths
+        ):
+            return (
+                f"{what}, service health state; go through transition() "
+                "or a record_* helper so the edge is validated, "
+                "recorded, and announced"
+            )
+        return None
+
+    # -- scopes -------------------------------------------------------
+
+    @staticmethod
+    def _module_types(tree: ast.AST, flow: FlowAnalysis) -> dict[str, str]:
+        """Module-level names bound to a project-class constructor."""
+        env: dict[str, str] = {}
+        for node in scope_statements(tree):
+            if isinstance(node, ast.Assign):
+                cls = flow.symbols.call_class_name(node.value)
                 if cls is not None:
-                    escaped_classes.add(cls)
-            yield from self._check_closure_mutations(
-                target_info, escaped, source
-            )
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            env[target.id] = cls
+        return env
+
+    @staticmethod
+    def _method_of(
+        info: FunctionInfo | None, flow: FlowAnalysis
+    ) -> FunctionInfo | None:
+        """The method ``info`` is (or is nested in), if any."""
+        while info is not None and info.cls is None:
+            parent = info.parent_qual
+            info = flow.symbols.functions.get(parent) if parent else None
+        return info
+
+    @staticmethod
+    def _shared_names(
+        info: FunctionInfo | None,
+        thread_names: dict[str, set[str]],
+        flow: FlowAnalysis,
+    ) -> set[str]:
+        """Thread-shared names visible in ``info``: those of every
+        thread target it is (or is nested in)."""
+        names: set[str] = set()
+        while info is not None:
+            names |= thread_names.get(info.qual, set())
+            parent = info.parent_qual
+            info = flow.symbols.functions.get(parent) if parent else None
+        return names
+
+    @staticmethod
+    def _mutation_points(
+        flow: FlowAnalysis, escaped: set[str]
+    ) -> dict[str, frozenset[str]]:
+        """Class -> the methods allowed to write its state, for every
+        thread-shared class and every class that declares a
+        ``mutation_point``."""
+        points: dict[str, frozenset[str]] = {}
+        for name, info in flow.symbols.classes.items():
+            declared = {
+                method_name
+                for method_name, method in info.methods.items()
+                if any(map(_is_mutation_point, method.node.decorator_list))
+            }
+            if declared or name in escaped:
+                points[name] = frozenset(declared | {"__init__"})
+        return points
+
+    # -- thread escape ------------------------------------------------
+
+    def _thread_shared(
+        self, flow: FlowAnalysis
+    ) -> tuple[dict[str, set[str]], set[str]]:
+        """Per ``threading.Thread`` target: the names it shares with the
+        function that spawns it; plus the project classes of those
+        objects."""
+        names: dict[str, set[str]] = {}
+        classes: set[str] = set()
+        for spawner in flow.symbols.functions.values():
+            imports = flow.symbols.modules[spawner.rel].imports
+            for node in scope_statements(spawner.node):
+                if not isinstance(node, ast.Call):
+                    continue
+                if qualname(node.func, imports) != "threading.Thread":
+                    continue
+                target, extra_args = self._thread_target(node, spawner, flow)
+                if target is None:
+                    continue
+                escaped = self._escaped_names(target, extra_args, flow)
+                names.setdefault(target.qual, set()).update(escaped)
+                owner = flow.symbols.functions.get(target.parent_qual or "")
+                env = flow.graphs.local_types(owner) if owner else {}
+                classes.update(
+                    env[name] for name in escaped if name in env
+                )
+        return names, classes
 
     def _thread_target(
-        self, call: ast.Call, source: SourceFile, flow: FlowAnalysis
+        self, call: ast.Call, spawner: FunctionInfo, flow: FlowAnalysis
     ) -> tuple[FunctionInfo | None, list[str]]:
         target: FunctionInfo | None = None
         extra: list[str] = []
@@ -229,11 +550,11 @@ class SharedStateRace(Rule):
             if keyword.arg == "target" and isinstance(
                 keyword.value, ast.Name
             ):
-                wanted = keyword.value.id
-                for info in flow.symbols.functions.values():
-                    if info.rel == source.rel and info.name == wanted:
-                        target = info
-                        break
+                # Resolved from the spawning scope outwards, so two
+                # spawners' nested ``worker`` functions stay apart.
+                target = flow.graphs.resolve_name_call(
+                    keyword.value.id, spawner
+                )
             elif keyword.arg == "args" and isinstance(
                 keyword.value, (ast.Tuple, ast.List)
             ):
@@ -288,166 +609,17 @@ class SharedStateRace(Rule):
         free.update(extra_args)
         return free
 
-    def _check_closure_mutations(
-        self,
-        target: FunctionInfo,
-        escaped: set[str],
-        source: SourceFile,
-    ) -> Iterator[Finding]:
-        for node in ast.walk(target.node):
-            write: ast.expr | None = None
-            verb = "mutates"
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for tgt in targets:
-                    if isinstance(tgt, (ast.Attribute, ast.Subscript)):
-                        write = tgt
-                        break
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATOR_METHODS
-            ):
-                write = node.func.value
-                verb = f"calls .{node.func.attr}() on"
-            if write is None:
-                continue
-            name = _base_name(write)
-            if name is None or name not in escaped:
-                continue
-            if _lock_guarded(node):
-                continue
-            yield Finding(
-                rule=self.id,
-                path=source.rel,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    f"thread body {verb} {name!r}, which is shared "
-                    "with other threads, outside any lock; guard the "
-                    "write or route it through the object's atomic "
-                    "mutation point"
-                ),
-            )
 
-    # -- escaped-class method scan ------------------------------------
-
-    def _allowed(self, cls_name: str, method: str) -> bool:
-        if method == "__init__":
-            return True
-        return method in self.ATOMIC_METHODS.get(cls_name, frozenset())
-
-    def _check_class_methods(
-        self, cls_name: str, flow: FlowAnalysis
-    ) -> Iterator[Finding]:
-        info = flow.symbols.classes.get(cls_name)
-        if info is None:
-            return
-        for method_name, method in sorted(info.methods.items()):
-            if self._allowed(cls_name, method_name):
-                continue
-            for node in ast.walk(method.node):
-                write: ast.expr | None = None
-                if isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for tgt in targets:
-                        if (
-                            isinstance(tgt, (ast.Attribute, ast.Subscript))
-                            and _base_name(tgt) == "self"
-                        ):
-                            write = tgt
-                            break
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _MUTATOR_METHODS
-                    and _base_name(node.func.value) == "self"
-                    and isinstance(node.func.value, ast.Attribute)
-                ):
-                    write = node.func.value
-                if write is None or _lock_guarded(node):
-                    continue
-                atomic = ", ".join(
-                    sorted(self.ATOMIC_METHODS.get(cls_name, ()))
-                ) or "__init__"
-                yield Finding(
-                    rule=self.id,
-                    path=info.rel,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        f"{cls_name}.{method_name} mutates thread-"
-                        f"shared state outside the documented atomic "
-                        f"points ({atomic}) and without a lock"
-                    ),
-                )
-
-    # -- writes from outside the class --------------------------------
-
-    def _check_outside_writes(
-        self, escaped_classes: set[str], flow: FlowAnalysis
-    ) -> Iterator[Finding]:
-        if not escaped_classes:
-            return
-        for qual in sorted(flow.symbols.functions):
-            info = flow.symbols.functions[qual]
-            if info.cls in escaped_classes:
-                continue  # own methods handled above
-            env = flow.graphs.local_types(info)
-            for node in scope_statements(info.node):
-                if not isinstance(node, (ast.Assign, ast.AugAssign)):
-                    continue
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for tgt in targets:
-                    if not isinstance(tgt, (ast.Attribute, ast.Subscript)):
-                        continue
-                    holder = tgt.value if isinstance(tgt, ast.Attribute) else tgt
-                    while isinstance(holder, ast.Subscript):
-                        holder = holder.value
-                    if isinstance(holder, ast.Attribute):
-                        owner_cls = flow.graphs.expr_class(
-                            holder.value, info, env
-                        )
-                    elif isinstance(tgt, ast.Attribute):
-                        owner_cls = flow.graphs.expr_class(
-                            tgt.value, info, env
-                        )
-                    else:
-                        owner_cls = None
-                    if owner_cls not in escaped_classes:
-                        continue
-                    if _lock_guarded(node):
-                        continue
-                    yield Finding(
-                        rule=self.id,
-                        path=info.rel,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        message=(
-                            f"writes {owner_cls} state from outside "
-                            "the class; thread-shared objects mutate "
-                            "only via their atomic methods"
-                        ),
-                    )
+# ----------------------------------------------------------------------
+# R008 — exception containment
+# ----------------------------------------------------------------------
 
 
 class ExceptionContainment(Rule):
-    """R013 — functions under a supervision contract cannot let
-    exceptions escape past their declared boundary."""
+    """Functions under a supervision contract cannot let exceptions
+    escape past their declared boundary."""
 
-    id = "R013"
+    id = "R008"
     title = "supervised boundaries contain every non-contract exception"
 
     #: (module rel suffix, dotted function, exception names allowed to
@@ -503,15 +675,26 @@ class ExceptionContainment(Rule):
                     )
 
 
-class ImportLayering(Rule):
-    """R014 — the module-level runtime import graph must be a DAG that
-    respects the architecture layering (see DESIGN.md §5j)."""
+# ----------------------------------------------------------------------
+# R009 — import layering
+# ----------------------------------------------------------------------
 
-    id = "R014"
-    title = "module imports respect the layering DAG"
+
+class ImportLayering(Rule):
+    """The module-level runtime import graph must be a DAG that points
+    strictly down the layering table (:data:`~.graph.LAYER_RANKS`,
+    DESIGN.md §5j), and an external root the table confines to one
+    unit (:data:`~.graph.CONFINED_IMPORTS`: process pools live in
+    ``exec``) may be imported nowhere else — function-local imports
+    included, since a lazy import reaches the same machinery."""
+
+    id = "R009"
+    title = "module imports respect the layering table"
 
     def finalize(self, project: Project) -> Iterable[Finding]:
         flow = FlowAnalysis.of(project)
+        for source in project.files:
+            yield from self._check_confined(source)
         for edge in flow.graphs.layering_violations():
             src_unit, dst_unit = unit_of(edge.src), unit_of(edge.dst)
             yield Finding(
@@ -543,10 +726,23 @@ class ImportLayering(Rule):
                 ),
             )
 
-
-FLOW_RULES: tuple[type[Rule], ...] = (
-    SeedProvenance,
-    SharedStateRace,
-    ExceptionContainment,
-    ImportLayering,
-)
+    def _check_confined(self, source: SourceFile) -> Iterator[Finding]:
+        unit = unit_of(source.rel)
+        for node in ast.walk(source.tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            for dotted in modules:
+                home = CONFINED_IMPORTS.get(dotted.split(".")[0])
+                if home is not None and home != unit:
+                    yield self.finding(
+                        source,
+                        node,
+                        f"imports {dotted} outside repro/{home}; the "
+                        f"layering table confines it to {home}, the one "
+                        "audited place for it",
+                    )
+                    break

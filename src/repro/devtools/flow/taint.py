@@ -1,4 +1,4 @@
-"""Seed-provenance taint lattice and worklist solver (R011's engine).
+"""Seed-provenance taint lattice and worklist solver (R001's engine).
 
 Every value that might be a ``random.Random`` instance carries a set
 of provenance tags:
@@ -8,10 +8,14 @@ of provenance tags:
 * ``"seeded"`` — ``Random(expr)`` with an explicit seed argument;
 * ``"literal"`` — ``Random(<constant>)`` (seeded, but with a seed the
   caller cannot vary — fine for tests, suspicious in the pipeline);
+* ``"unseeded"`` — ``Random()`` with no argument or ``SystemRandom``:
+  seeded from the OS.  R001 flags the construction itself, so draws
+  from such a stream are not flagged a second time;
 * ``"ambient"`` — module-level RNG state: a module/class-body-level
-  ``Random(...)`` binding, or the ``random`` module's implicit global
-  stream.  Ambient streams are shared across every caller and across
-  fork boundaries, so any draw from one destroys shard determinism.
+  ``Random(...)`` binding.  Ambient streams are shared across every
+  caller and across fork boundaries, so any draw from one destroys
+  shard determinism.  (The ``random`` module's own global stream is
+  caught by R001's reference check, not here.)
 
 The join is set union.  Facts propagate through local assignments,
 ``self.attr`` fields (bare-name indexed, like R003's set-attribute
@@ -43,9 +47,6 @@ DRAW_METHODS = frozenset(
 )
 
 _RNG_CONSTRUCTORS = frozenset({"random.Random", "random.SystemRandom"})
-
-#: Tags that mark a value as "is (or may be) an RNG instance".
-RNG_TAGS = frozenset({"substream", "seeded", "literal", "ambient"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +121,7 @@ class TaintAnalysis:
         if not is_rng:
             return None
         if not call.args and not call.keywords:
-            return frozenset({"ambient"})
+            return frozenset({"unseeded"})
         seed = call.args[0] if call.args else call.keywords[0].value
         if isinstance(seed, ast.Constant):
             return frozenset({"literal"})
@@ -329,12 +330,10 @@ class TaintAnalysis:
     # ------------------------------------------------------------------
 
     def iter_draws(self) -> Iterator[TaintedDraw]:
-        """Every ``<recv>.<draw>()`` whose receiver carries tags, plus
-        bare ``random.<draw>()`` module draws (always ambient)."""
+        """Every ``<recv>.<draw>()`` whose receiver carries tags."""
         for rel, module in sorted(self.symbols.modules.items()):
-            imports = module.imports
             for scope in iter_scopes(module.source.tree):
-                info = self._info_for_scope(scope, rel)
+                info = self._by_node.get(id(scope))
                 env = self.scope_env(info) if info is not None else {}
                 for node in scope_statements(scope):
                     if not isinstance(node, ast.Call) or not isinstance(
@@ -345,18 +344,6 @@ class TaintAnalysis:
                     if method not in DRAW_METHODS:
                         continue
                     recv = node.func.value
-                    if (
-                        isinstance(recv, ast.Name)
-                        and imports.get(recv.id) == "random"
-                    ):
-                        yield TaintedDraw(
-                            rel=rel,
-                            node=node,
-                            method=method,
-                            tags=frozenset({"ambient"}),
-                            origin="the random module's global stream",
-                        )
-                        continue
                     tags = self.expr_tags(recv, info, rel, env)
                     if tags:
                         yield TaintedDraw(
@@ -366,12 +353,6 @@ class TaintAnalysis:
                             tags=tags,
                             origin=self._describe(recv, rel, env),
                         )
-
-    def _info_for_scope(
-        self, scope: ast.AST, rel: str
-    ) -> FunctionInfo | None:
-        del rel
-        return self._by_node.get(id(scope))
 
     def _describe(
         self, recv: ast.expr, rel: str, env: dict[str, frozenset[str]]

@@ -41,6 +41,7 @@ __all__ = [
     "Rule",
     "SourceFile",
     "Suppression",
+    "qualname",
     "run_lint",
 ]
 
@@ -160,12 +161,32 @@ def parent_of(node: ast.AST) -> ast.AST | None:
     return getattr(node, "_reprolint_parent", None)
 
 
+def qualname(node: ast.expr, imports: dict[str, str]) -> str | None:
+    """Resolve ``Name``/``Attribute`` chains through an import map
+    (local name -> dotted origin).
+
+    ``datetime.datetime.now`` with ``import datetime`` resolves to
+    ``"datetime.datetime.now"``; unresolvable bases return None.
+    """
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    base = imports.get(node.id)
+    if base is None:
+        return None
+    parts.append(base)
+    return ".".join(reversed(parts))
+
+
 class Rule:
     """Base class: one named, independently runnable invariant.
 
     Lives here (not in :mod:`.rules`) so the flow rules can subclass
     it without importing the registry module that registers *them* —
-    R014 itself flags that import cycle.
+    R009 itself flags that import cycle.
     """
 
     id: str = "R000"
@@ -208,14 +229,8 @@ class Project:
     #: Line of each registry key, for dead-entry findings.
     registry_lines: dict[str, int] = field(default_factory=dict)
     #: Memoized expensive analyses (the flow engine caches itself
-    #: here so R011–R014 share one whole-program pass).
+    #: here so every flow rule shares one whole-program pass).
     cache: dict[str, Any] = field(default_factory=dict)
-
-    def file(self, rel: str) -> SourceFile | None:
-        for source in self.files:
-            if source.rel == rel:
-                return source
-        return None
 
 
 def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
@@ -374,18 +389,15 @@ def run_lint(
     root: Path | str,
     rules: Sequence[str] | None = None,
     *,
-    flow: bool = True,
     graph: Path | str | None = None,
 ) -> LintResult:
     """Lint every Python file under ``root`` with the named rules (all
-    rules when ``rules`` is None; ``flow=False`` drops the
-    interprocedural rules R011–R014 from the default set).  When
-    ``graph`` names a path, the flow engine's import/call graph is
-    written there as JSON.  Unknown rule ids raise
-    :class:`LintError`."""
+    rules when ``rules`` is None).  When ``graph`` names a path, the
+    flow engine's import/call graph is written there as JSON.  Unknown
+    rule ids raise :class:`LintError`."""
     from .rules import make_rules
 
-    selected = make_rules(rules, include_flow=flow)
+    selected = make_rules(rules)
     project = load_project(Path(root))
     if graph is not None:
         from .flow import FlowAnalysis
@@ -426,8 +438,3 @@ def run_lint(
         rules=tuple(rule.id for rule in selected),
         files_scanned=len(project.files),
     )
-
-
-def iter_findings(result: LintResult) -> Iterable[Finding]:
-    """Convenience iterator over a result's active findings."""
-    return iter(result.findings)

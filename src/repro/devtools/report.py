@@ -1,32 +1,18 @@
-"""Rendering and baseline handling for lint results.
+"""Rendering for lint results.
 
 Two output formats (the ``--format`` flag): ``text`` — one
 ``path:line:col: R00X message`` line per finding plus a summary — and
-``json`` — the stable ``repro/lint/1`` document from
+``json`` — the stable ``repro/lint/2`` document from
 :meth:`LintResult.as_dict`.
-
-Baselines let the linter gate *new* violations while a legacy tree is
-being paid down: ``--baseline`` with no existing file records the
-current findings; subsequent runs subtract recorded findings (matched
-by rule + path + message, deliberately not by line so unrelated edits
-don't resurrect them) and fail only on new ones.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Any
 
-from .lint import Finding, LintError, LintResult
+from .lint import LintResult
 
-__all__ = [
-    "render_text",
-    "render_json",
-    "load_baseline",
-    "write_baseline",
-    "subtract_baseline",
-]
+__all__ = ["render_text", "render_json"]
 
 
 def render_text(result: LintResult) -> str:
@@ -49,57 +35,6 @@ def render_text(result: LintResult) -> str:
 
 
 def render_json(result: LintResult) -> str:
-    """The ``repro/lint/1`` JSON document, indented, trailing newline."""
+    """The ``repro/lint/2`` JSON document, indented, trailing newline."""
     return json.dumps(result.as_dict(), indent=2) + "\n"
 
-
-def _finding_key(record: dict[str, Any]) -> tuple[str, str, str]:
-    return (record["rule"], record["path"], record["message"])
-
-
-def load_baseline(path: Path) -> set[tuple[str, str, str]]:
-    """The set of (rule, path, message) keys recorded at ``path``."""
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
-        raise LintError(f"cannot read baseline {path}: {error}") from None
-    records = document.get("findings", [])
-    try:
-        return {_finding_key(record) for record in records}
-    except (TypeError, KeyError):
-        raise LintError(
-            f"baseline {path} is not a repro/lint baseline document"
-        ) from None
-
-
-def write_baseline(path: Path, result: LintResult) -> None:
-    """Record the current findings so later runs gate only new ones."""
-    document = {
-        "schema": "repro/lint-baseline/1",
-        "findings": [finding.as_dict() for finding in result.findings],
-    }
-    try:
-        path.write_text(
-            json.dumps(document, indent=2) + "\n", encoding="utf-8"
-        )
-    except OSError as error:
-        raise LintError(
-            f"cannot write baseline {path}: {error.strerror}"
-        ) from None
-
-
-def subtract_baseline(
-    result: LintResult, known: set[tuple[str, str, str]]
-) -> LintResult:
-    """A result containing only findings absent from the baseline."""
-    fresh = tuple(
-        finding
-        for finding in result.findings
-        if _finding_key(finding.as_dict()) not in known
-    )
-    return LintResult(
-        findings=fresh,
-        suppressed=result.suppressed,
-        rules=result.rules,
-        files_scanned=result.files_scanned,
-    )

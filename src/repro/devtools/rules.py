@@ -1,18 +1,20 @@
-"""The reprolint rules (R001–R014).
+"""The reprolint rules (R001–R009), one per invariant.
 
 Each rule is a class with an ``id``, a ``title``, a per-file
 ``check_file(source, project)`` pass, and an optional cross-file
 ``finalize(project)`` pass that runs after every file has been scanned
-(used by R004's dead-registry-entry check and by all flow rules).
+(R004's dead-registry-entry check, and every rule built on the flow
+engine).
 
-R001–R010 are deliberately heuristic: they reason locally (per module,
-per function) with a small amount of project-wide indexing (frozen
-dataclasses, the event registry) rather than whole-program type
-inference.  R011–R014 live in :mod:`repro.devtools.flow` and consume
-the interprocedural engine (symbol table, call graph, taint solver).
-False positives are expected to be rare and are silenced with an
-inline ``# reprolint: disable=R00X <reason>`` comment, which doubles
-as documentation of why the flagged line is actually safe.
+Where a rule lives follows the engine it uses.  The per-file rules
+here (R002, R003, R004, R006, R007) reason locally, with a little
+project-wide indexing (frozen dataclasses, the event registry, set-
+typed attributes).  R001, R005, R008 and R009 live in
+:mod:`repro.devtools.flow.rules_flow` and consume the interprocedural
+engine (symbol table, call graph, taint solver).  False positives are
+expected to be rare and are silenced with an inline
+``# reprolint: disable=R00X <reason>`` comment, which doubles as
+documentation of why the flagged line is actually safe.
 
 The table below is the canonical catalog; each row's second column is
 the rule's ``title`` verbatim, and a tier-1 test asserts it matches
@@ -20,20 +22,15 @@ both ``rule_catalog()`` and DESIGN.md's rule list.
 
 | id   | title                                                            |
 |------|------------------------------------------------------------------|
-| R001 | no unseeded randomness                                           |
+| R001 | RNG draws derive from substream or an explicit seed              |
 | R002 | no wall-clock/environment reads in inference layers              |
 | R003 | set/dict.keys() iteration feeding an output must be sorted       |
 | R004 | emitted event names declared in EVENT_NAMES                      |
-| R005 | no mutation of frozen config objects outside their module        |
+| R005 | state mutates only at its declared mutation points               |
 | R006 | CLI error exits route through cli_error (exit 2)                 |
-| R007 | process-pool imports are confined to repro/exec                  |
-| R008 | checkpoint writes go through the atomic helper                   |
-| R009 | serve query handlers never mutate snapshot objects               |
-| R010 | service health state changes only via its transition method      |
-| R011 | pipeline RNG draws derive from substream or an explicit seed     |
-| R012 | thread-shared state mutates only at documented atomic points     |
-| R013 | supervised boundaries contain every non-contract exception       |
-| R014 | module imports respect the layering DAG                          |
+| R007 | checkpoint writes go through the atomic helper                   |
+| R008 | supervised boundaries contain every non-contract exception       |
+| R009 | module imports respect the layering table                        |
 """
 
 from __future__ import annotations
@@ -41,13 +38,25 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Sequence
 
-from .flow.rules_flow import FLOW_RULES
-from .lint import Finding, LintError, Project, Rule, SourceFile, parent_of
+from .flow.rules_flow import (
+    ExceptionContainment,
+    ImportLayering,
+    MutationDiscipline,
+    SeedProvenance,
+)
+from .lint import (
+    Finding,
+    LintError,
+    Project,
+    Rule,
+    SourceFile,
+    parent_of,
+    qualname,
+)
 
 __all__ = [
     "Rule",
     "ALL_RULES",
-    "FLOW_RULE_IDS",
     "make_rules",
     "rule_catalog",
 ]
@@ -84,25 +93,6 @@ def _import_map(tree: ast.Module) -> dict[str, str]:
     return mapping
 
 
-def _qualname(node: ast.expr, imports: dict[str, str]) -> str | None:
-    """Resolve ``Name``/``Attribute`` chains through the import map.
-
-    ``datetime.datetime.now`` with ``import datetime`` resolves to
-    ``"datetime.datetime.now"``; unresolvable bases return None.
-    """
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    base = imports.get(node.id)
-    if base is None:
-        return None
-    parts.append(base)
-    return ".".join(reversed(parts))
-
-
 def _in_dirs(source: SourceFile, dirs: frozenset[str]) -> bool:
     return bool(set(source.rel.split("/")[:-1]) & dirs)
 
@@ -117,69 +107,6 @@ def _scope_walk(scope: ast.AST) -> Iterable[ast.AST]:
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
-
-
-# ----------------------------------------------------------------------
-# R001 — no unseeded randomness
-# ----------------------------------------------------------------------
-
-
-class UnseededRandomness(Rule):
-    """``random.random()`` and friends draw from the process-global RNG
-    whose stream any import can perturb; ``Random()`` with no arguments
-    seeds from the OS.  Either breaks fixed-seed reproducibility."""
-
-    id = "R001"
-    title = "no unseeded randomness"
-
-    _MODULE_FUNCS_MESSAGE = (
-        "uses the process-global random stream; draw from a seeded "
-        "random.Random instance instead"
-    )
-
-    def check_file(
-        self, source: SourceFile, project: Project
-    ) -> Iterable[Finding]:
-        imports = _import_map(source.tree)
-        call_funcs: set[int] = set()
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            call_funcs.add(id(node.func))
-            qual = _qualname(node.func, imports)
-            if qual is None:
-                continue
-            if qual == "random.Random":
-                if not node.args and not node.keywords:
-                    yield self.finding(
-                        source,
-                        node,
-                        "Random() with no seed argument seeds from the OS",
-                    )
-            elif qual == "random.SystemRandom":
-                yield self.finding(
-                    source, node, "SystemRandom draws OS entropy; unseedable"
-                )
-            elif qual.startswith("random."):
-                yield self.finding(
-                    source, node, f"{qual}() {self._MODULE_FUNCS_MESSAGE}"
-                )
-        # References to module-level random functions outside call
-        # position (e.g. passing random.shuffle as a callback).
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Attribute) or id(node) in call_funcs:
-                continue
-            if isinstance(parent_of(node), ast.Attribute):
-                continue
-            qual = _qualname(node, imports)
-            if (
-                qual is not None
-                and qual.startswith("random.")
-                and qual not in ("random.Random", "random.SystemRandom")
-            ):
-                yield self.finding(
-                    source, node, f"{qual} {self._MODULE_FUNCS_MESSAGE}"
-                )
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +147,7 @@ class WallClockInCore(Rule):
                 continue
             if id(node) in seen:
                 continue
-            qual = _qualname(node, imports)
+            qual = qualname(node, imports)
             if qual is None or qual not in self._BANNED:
                 continue
             # Flag the outermost matching chain once, not each link.
@@ -690,11 +617,6 @@ class EventNamespace(Rule):
                     ),
                 )
             return
-        registry = (
-            project.file(project.registry_rel)
-            if project.registry_rel is not None
-            else None
-        )
         for name in sorted(set(project.event_names) - self._emitted):
             yield Finding(
                 rule=self.id,
@@ -706,154 +628,6 @@ class EventNamespace(Rule):
                     "remove the dead registration"
                 ),
             )
-        del registry
-
-
-# ----------------------------------------------------------------------
-# R005 — frozen config objects are immutable outside their module
-# ----------------------------------------------------------------------
-
-
-class FrozenConfigMutation(Rule):
-    """Frozen dataclasses advertise value semantics; writing through
-    ``object.__setattr__`` (or plain attribute assignment the runtime
-    will reject) from another module reintroduces spooky action the
-    freeze was meant to rule out.  Derive a new instance instead
-    (``dataclasses.replace`` / ``.replace()``)."""
-
-    id = "R005"
-    title = "no mutation of frozen config objects outside their module"
-
-    def check_file(
-        self, source: SourceFile, project: Project
-    ) -> Iterable[Finding]:
-        frozen = project.frozen_dataclasses
-        for scope in self._scopes(source.tree):
-            local_types = self._infer_local_types(scope, frozen)
-            for node in _scope_walk(scope):
-                yield from self._check_node(
-                    source, node, local_types, frozen
-                )
-
-    @staticmethod
-    def _scopes(tree: ast.Module) -> list[ast.AST]:
-        scopes: list[ast.AST] = [tree]
-        scopes.extend(
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        )
-        return scopes
-
-    @staticmethod
-    def _infer_local_types(
-        scope: ast.AST, frozen: dict[str, str]
-    ) -> dict[str, str]:
-        types: dict[str, str] = {}
-        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for arg in [
-                *scope.args.posonlyargs,
-                *scope.args.args,
-                *scope.args.kwonlyargs,
-            ]:
-                name = _annotation_name(arg.annotation)
-                if name in frozen:
-                    types[arg.arg] = name
-        for node in _scope_walk(scope):
-            if isinstance(node, ast.Assign) and isinstance(
-                node.value, ast.Call
-            ):
-                ctor = node.value.func
-                ctor_name = (
-                    ctor.id
-                    if isinstance(ctor, ast.Name)
-                    else ctor.attr if isinstance(ctor, ast.Attribute) else None
-                )
-                if ctor_name in frozen:
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            types[target.id] = ctor_name
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                name = _annotation_name(node.annotation)
-                if name in frozen:
-                    types[node.target.id] = name
-        return types
-
-    def _check_node(
-        self,
-        source: SourceFile,
-        node: ast.AST,
-        local_types: dict[str, str],
-        frozen: dict[str, str],
-    ) -> Iterable[Finding]:
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                ):
-                    continue
-                cls = local_types.get(target.value.id)
-                if cls is not None and frozen.get(cls) != source.rel:
-                    yield self.finding(
-                        source,
-                        target,
-                        f"assigns {target.value.id}.{target.attr} on frozen "
-                        f"{cls} (defined in {frozen[cls]}); derive a new "
-                        "instance instead",
-                    )
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "__setattr__"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "object"
-                and node.args
-                and not (
-                    isinstance(node.args[0], ast.Name)
-                    and node.args[0].id == "self"
-                )
-            ):
-                yield self.finding(
-                    source,
-                    node,
-                    "object.__setattr__ on a non-self target bypasses a "
-                    "dataclass freeze; derive a new instance instead",
-                )
-            elif (
-                isinstance(func, ast.Name)
-                and func.id == "setattr"
-                and node.args
-                and isinstance(node.args[0], ast.Name)
-            ):
-                cls = local_types.get(node.args[0].id)
-                if cls is not None and frozen.get(cls) != source.rel:
-                    yield self.finding(
-                        source,
-                        node,
-                        f"setattr on frozen {cls} (defined in "
-                        f"{frozen[cls]}); derive a new instance instead",
-                    )
-
-
-def _annotation_name(annotation: ast.expr | None) -> str | None:
-    if annotation is None:
-        return None
-    if isinstance(annotation, ast.Constant) and isinstance(
-        annotation.value, str
-    ):
-        return annotation.value.split(".")[-1].strip()
-    if isinstance(annotation, ast.Name):
-        return annotation.id
-    if isinstance(annotation, ast.Attribute):
-        return annotation.attr
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -879,7 +653,7 @@ class CliExitDiscipline(Rule):
         for node in ast.walk(source.tree):
             exit_arg: ast.expr | None = None
             if isinstance(node, ast.Call):
-                qual = _qualname(node.func, imports)
+                qual = qualname(node.func, imports)
                 if qual in ("sys.exit", "builtins.exit"):
                     exit_arg = node.args[0] if node.args else None
                 else:
@@ -912,58 +686,7 @@ class CliExitDiscipline(Rule):
 
 
 # ----------------------------------------------------------------------
-# R007 — process management is confined to repro/exec
-# ----------------------------------------------------------------------
-
-
-class ProcessPoolDiscipline(Rule):
-    """Worker processes, start methods, and result ordering are the
-    parallel executor's whole job; a stray ``multiprocessing`` or
-    ``concurrent.futures`` import elsewhere would re-open every
-    determinism question :mod:`repro.exec` exists to settle (seeding,
-    fork inheritance, merge order).  Route parallelism through
-    ``repro.exec.parallel_map`` instead."""
-
-    id = "R007"
-    title = "process-pool imports are confined to repro/exec"
-
-    #: Top-level modules whose import is reserved to the executor.
-    _BANNED_ROOTS = frozenset({"multiprocessing", "concurrent"})
-    #: The one directory (relative to the lint root) allowed to import
-    #: them.
-    ALLOWED_DIR = "exec"
-
-    def check_file(
-        self, source: SourceFile, project: Project
-    ) -> Iterable[Finding]:
-        if source.rel.split("/")[0] == self.ALLOWED_DIR:
-            return
-        for node in ast.walk(source.tree):
-            dotted: str | None = None
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] in self._BANNED_ROOTS:
-                        dotted = alias.name
-                        break
-            elif (
-                isinstance(node, ast.ImportFrom)
-                and node.module
-                and not node.level
-                and node.module.split(".")[0] in self._BANNED_ROOTS
-            ):
-                dotted = node.module
-            if dotted is not None:
-                yield self.finding(
-                    source,
-                    node,
-                    f"imports {dotted} outside repro/exec; use "
-                    "repro.exec.parallel_map so process management "
-                    "stays in the one audited module",
-                )
-
-
-# ----------------------------------------------------------------------
-# R008 — checkpoint writes go through the atomic helper
+# R007 — checkpoint writes go through the atomic helper
 # ----------------------------------------------------------------------
 
 
@@ -978,7 +701,7 @@ class DurableWriteDiscipline(Rule):
     ``atomic_write_json`` (the helper module itself is exempt — it is
     the audited implementation of the discipline)."""
 
-    id = "R008"
+    id = "R007"
     title = "checkpoint writes go through the atomic helper"
 
     #: The directory (relative to the lint root) the rule polices.
@@ -1050,7 +773,7 @@ class DurableWriteDiscipline(Rule):
                     "crash-safe; route durable writes through "
                     "checkpoint.atomic.atomic_write_bytes/_json",
                 )
-            elif _qualname(func, imports) == "os.open":
+            elif qualname(func, imports) == "os.open":
                 yield self.finding(
                     source,
                     node,
@@ -1061,288 +784,20 @@ class DurableWriteDiscipline(Rule):
 
 
 # ----------------------------------------------------------------------
-# R009 — the serve read path never mutates snapshots
-# ----------------------------------------------------------------------
-
-
-class SnapshotMutationDiscipline(Rule):
-    """Published map snapshots are copy-on-write: the read path swaps
-    whole immutable versions and concurrent queries keep whichever
-    reference they captured.  That guarantee dies the moment any code
-    under ``repro/serve`` writes *into* a snapshot — an attribute
-    assignment, an index store, or a mutating container method reaches
-    every reader holding the same version, mid-query.  Build a new
-    snapshot and swap it instead.
-
-    Heuristic scope: an expression "is a snapshot" when it mentions a
-    name or attribute spelled ``snapshot``/``*_snapshot`` (the
-    package's naming convention, e.g. ``snapshot``, ``final_snapshot``,
-    ``self._snapshot``) or a parameter annotated ``MapSnapshot``.
-    Rebinding such a name (``self._snapshot = new``) is the sanctioned
-    swap and is not flagged — only writes *through* one are."""
-
-    id = "R009"
-    title = "serve query handlers never mutate snapshot objects"
-
-    #: The directory (relative to the lint root) the rule polices.
-    SCOPE_DIR = "serve"
-    #: Container methods that mutate their receiver in place.
-    _MUTATORS = frozenset(
-        {
-            "add",
-            "append",
-            "clear",
-            "discard",
-            "extend",
-            "insert",
-            "pop",
-            "popitem",
-            "remove",
-            "setdefault",
-            "sort",
-            "reverse",
-            "update",
-        }
-    )
-
-    @staticmethod
-    def _names_snapshot(identifier: str) -> bool:
-        low = identifier.lower()
-        return low == "snapshot" or low.endswith("_snapshot")
-
-    def _annotated_params(self, tree: ast.AST) -> set[str]:
-        """Parameter names annotated ``MapSnapshot`` anywhere in the file."""
-        names: set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            arguments = node.args
-            for arg in (
-                *arguments.posonlyargs,
-                *arguments.args,
-                *arguments.kwonlyargs,
-            ):
-                annotation = arg.annotation
-                if annotation is not None and "MapSnapshot" in ast.unparse(
-                    annotation
-                ):
-                    names.add(arg.arg)
-        return names
-
-    def _is_snapshotish(self, expr: ast.expr, extra: set[str]) -> bool:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and (
-                node.id in extra or self._names_snapshot(node.id)
-            ):
-                return True
-            if isinstance(node, ast.Attribute) and self._names_snapshot(
-                node.attr
-            ):
-                return True
-        return False
-
-    def check_file(
-        self, source: SourceFile, project: Project
-    ) -> Iterable[Finding]:
-        if source.rel.split("/")[0] != self.SCOPE_DIR:
-            return
-        extra = self._annotated_params(source.tree)
-        for node in ast.walk(source.tree):
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            elif isinstance(node, ast.Delete):
-                targets = node.targets
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in self._MUTATORS
-                    and self._is_snapshotish(func.value, extra)
-                ):
-                    yield self.finding(
-                        source,
-                        node,
-                        f".{func.attr}() mutates a published snapshot; "
-                        "the read path is copy-on-write — build a new "
-                        "snapshot and swap it",
-                    )
-                elif (
-                    isinstance(func, ast.Name)
-                    and func.id in ("setattr", "delattr")
-                    and node.args
-                    and self._is_snapshotish(node.args[0], extra)
-                ):
-                    yield self.finding(
-                        source,
-                        node,
-                        f"{func.id}() on a published snapshot; the read "
-                        "path is copy-on-write — build a new snapshot "
-                        "and swap it",
-                    )
-                continue
-            for target in targets:
-                if isinstance(
-                    target, (ast.Attribute, ast.Subscript)
-                ) and self._is_snapshotish(target.value, extra):
-                    yield self.finding(
-                        source,
-                        target,
-                        "assignment into a published snapshot; the read "
-                        "path is copy-on-write — build a new snapshot "
-                        "and swap it",
-                    )
-
-
-# ----------------------------------------------------------------------
-# R010 — service health state changes only via its transition method
-# ----------------------------------------------------------------------
-
-
-class HealthStateDiscipline(Rule):
-    """The :class:`ServiceHealth` state machine is auditable because it
-    has exactly one mutation point: ``transition()`` validates the new
-    state, records the edge in history, emits the
-    ``serve.health.transition`` event, and notifies subscribers.  A
-    direct attribute write from outside ``serve/health.py`` —
-    ``health._state = "ok"``, ``service.health.epochs_behind += 1`` —
-    silently skips all of that: the health report and the event stream
-    stop agreeing, and soak-test recovery timestamps go dark.  Call the
-    ``record_*`` helpers (or ``transition`` itself) instead.
-
-    Heuristic scope: an expression "is health state" when it mentions a
-    name or attribute spelled ``health``/``*_health`` (the package's
-    naming convention, e.g. ``health``, ``self.health``,
-    ``self._health``) or a parameter annotated ``ServiceHealth``.
-    ``data_health`` is excluded — that is a per-interface inference
-    quality field, not the service state machine.  Rebinding such a
-    name (``self.health = ServiceHealth(...)``) is construction and is
-    not flagged — only writes *through* one are.  ``serve/health.py``
-    itself is exempt: that is where the mutation point lives."""
-
-    id = "R010"
-    title = "service health state changes only via its transition method"
-
-    #: The one module allowed to touch ServiceHealth internals.
-    EXEMPT_FILE = "serve/health.py"
-    _MUTATORS = SnapshotMutationDiscipline._MUTATORS
-
-    @staticmethod
-    def _names_health(identifier: str) -> bool:
-        low = identifier.lower()
-        if low == "data_health":
-            return False
-        return low == "health" or low.endswith("_health")
-
-    def _annotated_params(self, tree: ast.AST) -> set[str]:
-        """Parameter names annotated ``ServiceHealth`` anywhere in the
-        file."""
-        names: set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            arguments = node.args
-            for arg in (
-                *arguments.posonlyargs,
-                *arguments.args,
-                *arguments.kwonlyargs,
-            ):
-                annotation = arg.annotation
-                if annotation is not None and "ServiceHealth" in ast.unparse(
-                    annotation
-                ):
-                    names.add(arg.arg)
-        return names
-
-    def _is_healthish(self, expr: ast.expr, extra: set[str]) -> bool:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and (
-                node.id in extra or self._names_health(node.id)
-            ):
-                return True
-            if isinstance(node, ast.Attribute) and self._names_health(
-                node.attr
-            ):
-                return True
-        return False
-
-    def check_file(
-        self, source: SourceFile, project: Project
-    ) -> Iterable[Finding]:
-        if source.rel == self.EXEMPT_FILE:
-            return
-        extra = self._annotated_params(source.tree)
-        for node in ast.walk(source.tree):
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            elif isinstance(node, ast.Delete):
-                targets = node.targets
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in self._MUTATORS
-                    and self._is_healthish(func.value, extra)
-                ):
-                    yield self.finding(
-                        source,
-                        node,
-                        f".{func.attr}() mutates service health state "
-                        "directly; go through transition() or a "
-                        "record_* helper so the edge is validated, "
-                        "recorded, and announced",
-                    )
-                elif (
-                    isinstance(func, ast.Name)
-                    and func.id in ("setattr", "delattr")
-                    and node.args
-                    and self._is_healthish(node.args[0], extra)
-                ):
-                    yield self.finding(
-                        source,
-                        node,
-                        f"{func.id}() on service health state; go "
-                        "through transition() or a record_* helper so "
-                        "the edge is validated, recorded, and announced",
-                    )
-                continue
-            for target in targets:
-                if isinstance(
-                    target, (ast.Attribute, ast.Subscript)
-                ) and self._is_healthish(target.value, extra):
-                    yield self.finding(
-                        source,
-                        target,
-                        "assignment into service health state; go "
-                        "through transition() or a record_* helper so "
-                        "the edge is validated, recorded, and announced",
-                    )
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 
 ALL_RULES: tuple[type[Rule], ...] = (
-    UnseededRandomness,
+    SeedProvenance,
     WallClockInCore,
     UnsortedSetIteration,
     EventNamespace,
-    FrozenConfigMutation,
+    MutationDiscipline,
     CliExitDiscipline,
-    ProcessPoolDiscipline,
     DurableWriteDiscipline,
-    SnapshotMutationDiscipline,
-    HealthStateDiscipline,
-) + FLOW_RULES
-
-#: Ids of the interprocedural rules (skipped by ``--no-flow``).
-FLOW_RULE_IDS: frozenset[str] = frozenset(cls.id for cls in FLOW_RULES)
+    ExceptionContainment,
+    ImportLayering,
+)
 
 _BY_ID = {cls.id: cls for cls in ALL_RULES}
 
@@ -1352,21 +807,13 @@ def rule_catalog() -> dict[str, str]:
     return {cls.id: cls.title for cls in ALL_RULES}
 
 
-def make_rules(
-    ids: Sequence[str] | None = None, *, include_flow: bool = True
-) -> list[Rule]:
-    """Instantiate the named rules (all of them when ``ids`` is None;
-    ``include_flow=False`` drops R011–R014 from the default set but
-    never from an explicit ``ids`` selection).
+def make_rules(ids: Sequence[str] | None = None) -> list[Rule]:
+    """Instantiate the named rules (all of them when ``ids`` is None).
 
     Raises :class:`LintError` for an unknown id, naming the known ones.
     """
     if ids is None:
-        return [
-            cls()
-            for cls in ALL_RULES
-            if include_flow or cls.id not in FLOW_RULE_IDS
-        ]
+        return [cls() for cls in ALL_RULES]
     rules: list[Rule] = []
     seen: set[str] = set()
     for raw in ids:

@@ -11,7 +11,7 @@ byte-identical to the serial ``workers=1`` path — under any crash
 pattern, once supervised.
 
 This package is the only place allowed to import ``multiprocessing``
-or ``concurrent.futures`` (reprolint rule R007).
+or ``concurrent.futures`` (reprolint rule R009's layering table).
 """
 
 from .pool import (

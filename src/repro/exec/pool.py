@@ -1,7 +1,7 @@
 """Fork-based ``parallel_map`` with deterministic, ordered results.
 
 The one place in the repository allowed to import ``multiprocessing``
-and ``concurrent.futures`` (reprolint rule R007 keeps every other
+and ``concurrent.futures`` (reprolint rule R009 keeps every other
 module out): concentrating process management here keeps the seeding
 and merge discipline auditable in one file.
 

@@ -1,8 +1,8 @@
 """reprosan — the opt-in runtime sanitizer twin of the flow rules.
 
-reprolint's interprocedural rules (R011 seed provenance, R012
-shared-state races, R013 exception containment) prove invariants about
-the *source*; this module cross-checks the same invariants about the
+reprolint's interprocedural rules (R001 seed provenance, R005 mutation
+points, R008 exception containment) prove invariants about the
+*source*; this module cross-checks the same invariants about the
 *running process*, the way ``Instrumentation(strict=True)`` is R004's
 runtime twin.  Off by default and free when off; enable it with
 ``REPRO_SANITIZE=1`` in the environment, ``PipelineConfig(sanitize=
@@ -13,35 +13,38 @@ Three tripwires:
 * **RNG provenance tags** — :func:`repro.exec.substream` stamps every
   stream it builds with its derivation parts (:func:`tag_rng`), and
   the pipeline's draw chokepoints call :func:`assert_rng`; a draw from
-  an untagged stream is exactly the ambient-RNG flow R011 flags
+  an untagged stream is exactly the ambient-RNG flow R001 flags
   statically.
 * **Snapshot write tripwires** — served :class:`MapSnapshot` indices
   are wrapped in :class:`TripwireMapping`, so any in-place mutation of
-  a published map (R009/R012 territory) raises instead of silently
+  a published map (R005 territory) raises instead of silently
   corrupting concurrent readers.
 * **Health write guard** — :class:`~repro.serve.health.ServiceHealth`
   installs a ``__setattr__`` guard so state writes outside its
-  documented mutation points (R010/R012 territory) trip at runtime.
+  :func:`mutation_point` methods trip at runtime.  The decorator is the
+  one declaration of a class's mutation points: R005 reads the same
+  decorators statically, so the two checks cannot drift apart.
 
 Every trip is recorded via :func:`record_violation`: appended to a
 process-wide list (:func:`violations`), emitted as the registered
 ``sanitizer.violation`` event when an observer is attached, and raised
 as :class:`SanitizerViolation` — an ``AssertionError`` subclass, so
 supervisors that contain operational failures still let it fail loud
-(R013's contract carve-out).
+(R008's contract carve-out).
 
 This module deliberately imports nothing from the rest of the tree
-(layer 0 in the R014 DAG): the pipeline hands it an observer object
-instead of the other way around.
+(layer 0 in R009's layering table): the pipeline hands it an observer
+object instead of the other way around.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import threading
 from collections.abc import Mapping
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 __all__ = [
     "SanitizerViolation",
@@ -52,6 +55,7 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
+    "mutation_point",
     "record_violation",
     "reset",
     "rng_provenance",
@@ -71,7 +75,7 @@ class SanitizerViolation(AssertionError):
 
     Subclasses ``AssertionError`` on purpose: supervision boundaries
     contain *operational* failures, but an invariant assertion must
-    never be swallowed — R013 exempts assertion types from every
+    never be swallowed — R008 exempts assertion types from every
     containment contract, and this class rides that exemption.
     """
 
@@ -194,7 +198,7 @@ def assert_rng(rng: Any, site: str) -> Any:
 
     Chokepoints on the trace/alias/fault/ingest draw paths call this;
     an untagged stream reaching one means ambient or cross-shard RNG
-    state leaked into inference — the runtime mirror of R011.
+    state leaked into inference — the runtime mirror of R001.
     """
     # Provenance first: tagging is unconditional, so a tagged stream
     # (every production draw) never reads the environment flag.
@@ -209,6 +213,30 @@ def assert_rng(rng: Any, site: str) -> Any:
 # ----------------------------------------------------------------------
 # Write tripwires
 # ----------------------------------------------------------------------
+
+
+def mutation_point(method: Callable) -> Callable:
+    """Declare ``method`` one of its class's mutation points.
+
+    reprolint R005 reads this decorator (with ``__init__``) as the
+    complete list of methods allowed to write the class's state; a
+    class that guards ``__setattr__`` at runtime (``ServiceHealth``)
+    admits writes only while one of these frames is live.  The depth
+    counter (rather than a flag) keeps nested mutation points —
+    ``record_failure`` calling ``transition`` — balanced.
+    """
+
+    @functools.wraps(method)
+    def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
+        object.__setattr__(
+            self, "_write_depth", getattr(self, "_write_depth", 0) + 1
+        )
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            object.__setattr__(self, "_write_depth", self._write_depth - 1)
+
+    return wrapper
 
 
 class TripwireMapping(Mapping):

@@ -20,21 +20,26 @@ that want wall-clock recovery latency (the soak harness) subscribe via
 :meth:`subscribe` and timestamp transitions themselves.
 
 Every state change goes through :meth:`ServiceHealth.transition` — the
-single mutation point that validates the target state, records the
-edge, emits ``serve.health.transition``, and notifies subscribers.
-Reprolint rule R010 statically rejects direct state writes anywhere
-outside this module.
+single state-changing method that validates the target state, records
+the edge, emits ``serve.health.transition``, and notifies subscribers.
+The methods allowed to write its state are declared with
+:func:`repro.sanitize.mutation_point`; reprolint rule R005 rejects
+writes anywhere else statically, and the sanitizer's guard rejects
+them at runtime.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..inference.disruption import ASSESSMENTS
 from ..obs import Instrumentation
-from ..sanitize import enabled as sanitizer_enabled, record_violation
+from ..sanitize import (
+    enabled as sanitizer_enabled,
+    mutation_point,
+    record_violation,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .snapshot import MapSnapshot
@@ -85,28 +90,6 @@ def snapshot_data_health(snapshot: "MapSnapshot | None") -> dict[str, Any]:
     }
 
 
-def _mutation_point(method: Callable) -> Callable:
-    """Mark a :class:`ServiceHealth` method as a documented write site.
-
-    The sanitizer's ``__setattr__`` guard only admits attribute writes
-    while one of these frames is live; the depth counter (rather than
-    a flag) keeps nested mutation points — ``record_failure`` calling
-    ``transition`` — balanced.
-    """
-
-    @functools.wraps(method)
-    def wrapper(self: "ServiceHealth", *args: Any, **kwargs: Any) -> Any:
-        object.__setattr__(
-            self, "_write_depth", getattr(self, "_write_depth", 0) + 1
-        )
-        try:
-            return method(self, *args, **kwargs)
-        finally:
-            object.__setattr__(self, "_write_depth", self._write_depth - 1)
-
-    return wrapper
-
-
 class ServiceHealth:
     """The map service's health state machine.
 
@@ -116,8 +99,9 @@ class ServiceHealth:
     :meth:`report`.  State only ever changes inside :meth:`transition`.
 
     Under the sanitizer, attribute writes outside the
-    :func:`_mutation_point`-decorated methods trip ``health.write`` —
-    the runtime twin of reprolint R010/R012.
+    :func:`~repro.sanitize.mutation_point`-decorated methods trip
+    ``health.write`` — the runtime twin of reprolint R005, which reads
+    the same decorators.
     """
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -128,7 +112,7 @@ class ServiceHealth:
             )
         object.__setattr__(self, name, value)
 
-    @_mutation_point
+    @mutation_point
     def __init__(
         self,
         instrumentation: Instrumentation | None = None,
@@ -195,7 +179,7 @@ class ServiceHealth:
         """Recent transition edges, oldest first: ``(from, to, reason)``."""
         return tuple(self._history)
 
-    @_mutation_point
+    @mutation_point
     def subscribe(self, listener: Callable[[str, str, str], None]) -> None:
         """Call ``listener(old, new, reason)`` on every state change."""
         self._listeners.append(listener)
@@ -242,16 +226,16 @@ class ServiceHealth:
         return tuple(self._map_change.get("alarmed_facilities", ()))
 
     # ------------------------------------------------------------------
-    # The single mutation point (reprolint R010)
+    # The single state-changing method (reprolint R005)
     # ------------------------------------------------------------------
 
-    @_mutation_point
+    @mutation_point
     def transition(self, new_state: str, *, reason: str) -> None:
         """Move to ``new_state``, recording and announcing the edge.
 
         This is the **only** place :attr:`state` changes — direct
         attribute writes anywhere outside ``serve/health.py`` are
-        rejected statically by reprolint R010, because they would skip
+        rejected statically by reprolint R005, because they would skip
         validation, the transition history, and the
         ``serve.health.transition`` event.
         """
@@ -288,14 +272,14 @@ class ServiceHealth:
             else "degraded"
         )
 
-    @_mutation_point
+    @mutation_point
     def record_failure(self, *, reason: str) -> None:
         """One epoch or publish attempt failed (a retry may follow)."""
         self._ingest_failures += 1
         self._consecutive_failures += 1
         self.transition(self._unhealthy_state(), reason=reason)
 
-    @_mutation_point
+    @mutation_point
     def record_quarantine(self, epoch: int) -> None:
         """An epoch exhausted its retry budget and was skipped."""
         self._quarantined.append(epoch)
@@ -304,7 +288,7 @@ class ServiceHealth:
             self._unhealthy_state(), reason=f"epoch {epoch} quarantined"
         )
 
-    @_mutation_point
+    @mutation_point
     def record_rollback(self, stage: str) -> None:
         """A publish exhausted its retry budget and was rolled back."""
         self._rollbacks += 1
@@ -313,7 +297,7 @@ class ServiceHealth:
             self._unhealthy_state(), reason=f"publish of {stage} rolled back"
         )
 
-    @_mutation_point
+    @mutation_point
     def record_map_assessment(self, status: dict[str, Any]) -> None:
         """Absorb the disruption detector's change-vs-fault verdict.
 
@@ -341,7 +325,7 @@ class ServiceHealth:
             fault_pressure=status.get("fault_pressure"),
         )
 
-    @_mutation_point
+    @mutation_point
     def record_publish(self, snapshot: "MapSnapshot") -> None:
         """A snapshot was durably published and is now being served.
 

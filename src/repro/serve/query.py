@@ -32,6 +32,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from ..obs import Instrumentation
+from ..sanitize import mutation_point
 from ..topology.addressing import MAX_IPV4, int_to_ip, ip_to_int
 from .snapshot import LinkEntry, MapSnapshot
 
@@ -204,7 +205,8 @@ class QueryEngine:
     """Serves queries against the most recently published snapshot.
 
     The snapshot reference is the only mutable state, and only
-    :meth:`swap` writes it.  Queries read it once per request.
+    :meth:`swap`, its declared mutation point, writes it.  Queries read
+    it once per request.
     """
 
     def __init__(
@@ -223,6 +225,7 @@ class QueryEngine:
         """The live snapshot (``None`` before the first publication)."""
         return self._snapshot
 
+    @mutation_point
     def swap(self, snapshot: MapSnapshot) -> None:
         """Atomically switch the read path to ``snapshot``.
 

@@ -11,7 +11,7 @@ Immutability is layered:
 
 * every entry is a frozen dataclass with tuple-valued collections;
 * every index is wrapped in :class:`types.MappingProxyType`;
-* reprolint rule R009 statically bans mutation of snapshot objects
+* reprolint rule R005 statically bans mutation of snapshot objects
   anywhere under ``repro/serve``.
 
 The **fingerprint** is the sha256 of the canonical-JSON *content*
@@ -91,7 +91,7 @@ class MapSnapshot:
 
     Query handlers receive this object and must treat it as read-only;
     the service swaps whole snapshots copy-on-write, never edits one in
-    place (reprolint R009 enforces the read side statically).
+    place (reprolint R005 enforces the read side statically).
     """
 
     #: 0-based index of the epoch this snapshot was published after

@@ -1,5 +1,5 @@
 """CLI behaviour of ``repro-lint`` and the ``repro lint`` subcommand:
-exit codes, JSON shape, baseline workflow, and the one-line exit-2
+exit codes, JSON shape, the graph export, and the one-line exit-2
 error style for bad inputs."""
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def test_json_format_shape(tmp_path, capsys):
     assert document["schema_version"] == 2
     assert document["rules"] == [
         "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
-        "R009", "R010", "R011", "R012", "R013", "R014",
+        "R009",
     ]
     assert document["files_scanned"] == 1
     assert document["counts"] == {"R001": 1}
@@ -87,20 +87,6 @@ def test_json_output_is_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     lint_main([str(root), "--format", "json"])
     assert capsys.readouterr().out == first
-
-
-def test_no_flow_drops_flow_rules(tmp_path, capsys):
-    root = tmp_path
-    (root / "measurement").mkdir()
-    (root / "measurement" / "probe.py").write_text(
-        "from random import Random\n\n_G = Random(1)\n\n\n"
-        "def draw():\n    return _G.random()\n",
-        encoding="utf-8",
-    )
-    assert lint_main([str(root)]) == 1
-    assert "R011" in capsys.readouterr().out
-    assert lint_main([str(root), "--no-flow"]) == 0
-    assert "clean" in capsys.readouterr().out
 
 
 def test_graph_flag_writes_flow_graph_json(tmp_path, capsys):
@@ -141,36 +127,6 @@ def test_missing_path_is_clean_exit_2(tmp_path, capsys):
     error_lines = captured.err.strip().splitlines()
     assert len(error_lines) == 1
     assert error_lines[0].startswith("error: no such file or directory")
-
-
-def test_baseline_records_then_gates(tmp_path, capsys):
-    root = write_tree(tmp_path, BAD_MODULE)
-    baseline = tmp_path / "baseline.json"
-
-    # First run with a fresh baseline records and exits 0.
-    assert lint_main([str(root), "--baseline", str(baseline)]) == 0
-    assert "baseline recorded: 1 finding(s)" in capsys.readouterr().out
-    assert baseline.exists()
-
-    # Re-running gates only new findings: the recorded one is ignored.
-    assert lint_main([str(root), "--baseline", str(baseline)]) == 0
-    assert "clean: 0 findings" in capsys.readouterr().out
-
-    # A new violation still fails against the old baseline.
-    (root / "fresh.py").write_text(
-        "import random\n\n\ndef roll():\n    return random.choice([1, 2])\n",
-        encoding="utf-8",
-    )
-    assert lint_main([str(root), "--baseline", str(baseline)]) == 1
-    assert "fresh.py" in capsys.readouterr().out
-
-
-def test_corrupt_baseline_is_clean_exit_2(tmp_path, capsys):
-    root = write_tree(tmp_path, CLEAN_MODULE)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("not json", encoding="utf-8")
-    assert lint_main([str(root), "--baseline", str(baseline)]) == 2
-    assert capsys.readouterr().err.startswith("error: cannot read baseline")
 
 
 def test_list_rules(capsys):

@@ -26,7 +26,7 @@ def rule_ids(result):
 
 
 # ----------------------------------------------------------------------
-# R001 — unseeded randomness
+# R001 — seed provenance: the random module and unseeded constructors
 # ----------------------------------------------------------------------
 
 
@@ -69,6 +69,34 @@ def test_r001_flags_function_reference(tmp_path):
         """,
     )
     assert rule_ids(result) == ["R001"]
+
+
+def test_r001_flags_unseeded_stream_never_drawn(tmp_path):
+    result = lint_source(
+        tmp_path,
+        """
+        from random import Random
+
+        def make():
+            return Random()
+        """,
+    )
+    assert rule_ids(result) == ["R001"]
+    assert "no seed" in result.findings[0].message
+
+
+def test_r001_flags_system_random_once(tmp_path):
+    result = lint_source(
+        tmp_path,
+        """
+        import random
+
+        def draw():
+            return random.SystemRandom().random()
+        """,
+    )
+    assert rule_ids(result) == ["R001"]
+    assert "OS entropy" in result.findings[0].message
 
 
 def test_r001_accepts_seeded_random(tmp_path):
@@ -415,7 +443,7 @@ def test_r004_checks_obsevent_constructor(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# R005 — frozen config mutation
+# R005 — mutation points: frozen dataclasses
 # ----------------------------------------------------------------------
 
 _FROZEN_CONFIG = """
@@ -558,7 +586,7 @@ def test_r006_ignores_non_cli_modules(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# R007 — process pools confined to the exec layer
+# R009 — layering: process pools confined to the exec layer
 # ----------------------------------------------------------------------
 
 
@@ -573,7 +601,7 @@ def test_r007_flags_multiprocessing_import_outside_exec(tmp_path):
         """,
         rel="measurement/campaign.py",
     )
-    assert rule_ids(result) == ["R007"]
+    assert rule_ids(result) == ["R009"]
     assert "exec" in result.findings[0].message
 
 
@@ -588,7 +616,23 @@ def test_r007_flags_concurrent_futures_from_import(tmp_path):
         """,
         rel="core/cfs.py",
     )
-    assert rule_ids(result) == ["R007"]
+    assert rule_ids(result) == ["R009"]
+
+
+def test_r009_flags_function_local_pool_import(tmp_path):
+    # Function-local imports are exempt from the layer ranking, but not
+    # from the confined roots: a lazy import spawns workers just as well.
+    result = lint_source(
+        tmp_path,
+        """
+        def spawn():
+            import multiprocessing
+
+            return multiprocessing.cpu_count()
+        """,
+        rel="serve/pool.py",
+    )
+    assert rule_ids(result) == ["R009"]
 
 
 def test_r007_allows_imports_inside_exec(tmp_path):
@@ -624,17 +668,17 @@ def test_r007_suppressible_with_reason(tmp_path):
     result = lint_source(
         tmp_path,
         """
-        import multiprocessing  # reprolint: disable=R007 fixture only
+        import multiprocessing  # reprolint: disable=R009 fixture only
         """,
         rel="faults/inject.py",
     )
     assert rule_ids(result) == []
     assert len(result.suppressed) == 1
-    assert result.suppressed[0][0].rule == "R007"
+    assert result.suppressed[0][0].rule == "R009"
 
 
 # ----------------------------------------------------------------------
-# R008 — checkpoint writes go through the atomic helper
+# R007 — checkpoint writes go through the atomic helper
 # ----------------------------------------------------------------------
 
 
@@ -648,7 +692,7 @@ def test_r008_flags_bare_write_open_in_checkpoint(tmp_path):
         """,
         rel="checkpoint/store.py",
     )
-    assert rule_ids(result) == ["R008"]
+    assert rule_ids(result) == ["R007"]
     assert "atomic_write" in result.findings[0].message
 
 
@@ -662,7 +706,7 @@ def test_r008_flags_path_write_text_and_dynamic_mode(tmp_path):
         """,
         rel="checkpoint/stages.py",
     )
-    assert rule_ids(result) == ["R008", "R008"]
+    assert rule_ids(result) == ["R007", "R007"]
 
 
 def test_r008_flags_raw_os_open_outside_helper(tmp_path):
@@ -676,7 +720,7 @@ def test_r008_flags_raw_os_open_outside_helper(tmp_path):
         """,
         rel="checkpoint/manifest.py",
     )
-    assert rule_ids(result) == ["R008"]
+    assert rule_ids(result) == ["R007"]
 
 
 def test_r008_allows_reads_and_exempts_atomic_helper(tmp_path):
@@ -723,7 +767,7 @@ def test_r008_ignores_writes_outside_checkpoint(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# R009 — serve read path never mutates snapshots
+# R005 — mutation points: the serve read path never mutates snapshots
 # ----------------------------------------------------------------------
 
 
@@ -737,7 +781,7 @@ def test_r009_flags_attribute_and_index_writes(tmp_path):
         """,
         rel="serve/query.py",
     )
-    assert rule_ids(result) == ["R009", "R009"]
+    assert rule_ids(result) == ["R005", "R005"]
     assert "copy-on-write" in result.findings[0].message
 
 
@@ -751,7 +795,7 @@ def test_r009_flags_mutating_container_methods(tmp_path):
         """,
         rel="serve/ingest.py",
     )
-    assert rule_ids(result) == ["R009", "R009"]
+    assert rule_ids(result) == ["R005", "R005"]
 
 
 def test_r009_flags_setattr_bypass_and_annotated_params(tmp_path):
@@ -764,7 +808,7 @@ def test_r009_flags_setattr_bypass_and_annotated_params(tmp_path):
         """,
         rel="serve/service.py",
     )
-    assert rule_ids(result) == ["R009", "R009"]
+    assert rule_ids(result) == ["R005", "R005"]
 
 
 def test_r009_allows_swap_rebinding_and_reads(tmp_path):
@@ -896,7 +940,7 @@ def test_syntax_error_raises_lint_error(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# R010 — service health state changes only via transition()
+# R005 — mutation points: service health changes only via transition()
 # ----------------------------------------------------------------------
 
 
@@ -909,9 +953,9 @@ def test_r010_flags_attribute_and_augmented_writes(tmp_path):
             health.epochs_behind += 1
         """,
         rel="serve/supervise.py",
-        rules=["R010"],
+        rules=["R005"],
     )
-    assert rule_ids(result) == ["R010", "R010"]
+    assert rule_ids(result) == ["R005", "R005"]
     assert "transition()" in result.findings[0].message
 
 
@@ -924,9 +968,9 @@ def test_r010_flags_mutators_setattr_and_annotated_params(tmp_path):
             setattr(service.health, "_state", "stale")
         """,
         rel="serve/service.py",
-        rules=["R010"],
+        rules=["R005"],
     )
-    assert rule_ids(result) == ["R010", "R010"]
+    assert rule_ids(result) == ["R005", "R005"]
 
 
 def test_r010_fires_outside_serve_too(tmp_path):
@@ -937,9 +981,9 @@ def test_r010_fires_outside_serve_too(tmp_path):
             service.health._epochs_behind = 0
         """,
         rel="cli.py",
-        rules=["R010"],
+        rules=["R005"],
     )
-    assert rule_ids(result) == ["R010"]
+    assert rule_ids(result) == ["R005"]
 
 
 def test_r010_exempts_health_module_itself(tmp_path):
@@ -952,7 +996,7 @@ def test_r010_exempts_health_module_itself(tmp_path):
                 self._history.append((new_state, reason))
         """,
         rel="serve/health.py",
-        rules=["R010"],
+        rules=["R005"],
     )
     assert rule_ids(result) == []
 
@@ -973,6 +1017,6 @@ def test_r010_allows_construction_reads_and_data_health(tmp_path):
             counts["ok"] = 1
         """,
         rel="serve/service.py",
-        rules=["R010"],
+        rules=["R005"],
     )
     assert rule_ids(result) == []
