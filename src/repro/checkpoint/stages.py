@@ -17,7 +17,7 @@ a corrupt stage — warn and recompute.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..alias.midar import AliasSets
 from ..core.types import (
@@ -29,13 +29,10 @@ from ..core.types import (
     LinkInference,
     PeeringKind,
 )
-from ..measurement.campaign import TraceCorpus
 from ..measurement.traceroute import TraceHop, Traceroute
 from ..obs import MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..measurement.platforms import PlatformSet
-    from ..measurement.traceroute import TracerouteEngine
     from ..topology.topology import Topology
 
 __all__ = [
@@ -68,22 +65,34 @@ def encode_topology_stage(topology: "Topology") -> dict[str, Any]:
 # Campaign corpus + measurement accounting
 # ----------------------------------------------------------------------
 
+#: ``TracerouteEngine.issue_baseline`` shape: (traces issued,
+#: per-(source, destination) issue counts).
+IssueState = tuple[int, dict[tuple[str, int], int]]
+#: ``LookingGlassPlatform.query_state`` shape: (per-ASN query counts,
+#: simulated rate-limit wait).
+QueryState = tuple[dict[int, int], float]
+
 
 def encode_campaign_stage(
-    corpus: TraceCorpus,
-    engine: "TracerouteEngine",
-    platforms: "PlatformSet",
+    traces: Sequence[Traceroute],
+    issues: IssueState,
+    queries: QueryState,
 ) -> dict[str, Any]:
-    """The initial campaign's output and the state it left behind.
+    """Traces plus the measurement accounting that travels with them.
 
     The engine's issue accounting and the looking-glass query ledger
     must travel with the traces: ``seq`` numbers derived from them key
     the per-trace RNG substreams of every *later* probe (CFS
     follow-ups), so a resume that skipped them would draw different
     noise than the uninterrupted run.
+
+    One codec serves two stages: the pipeline's ``campaign`` stage
+    (the whole corpus with the engine's total issue counts) and the
+    service's per-epoch stream stages (one epoch's arrivals with the
+    issue counts that epoch added).
     """
-    traces_issued, issue_counts = engine.issue_baseline()
-    queries_per_lg, simulated_wait_s = platforms.looking_glasses.query_state()
+    traces_issued, issue_counts = issues
+    queries_per_lg, simulated_wait_s = queries
     return {
         "traces": [
             [
@@ -97,7 +106,7 @@ def encode_campaign_stage(
                     for hop in trace.hops
                 ],
             ]
-            for trace in corpus.traces
+            for trace in traces
         ],
         "engine": {
             "traces_issued": traces_issued,
@@ -119,54 +128,47 @@ def encode_campaign_stage(
 
 def decode_campaign_stage(
     payload: dict[str, Any],
-    engine: "TracerouteEngine",
-    platforms: "PlatformSet",
-) -> TraceCorpus:
-    """Rebuild the corpus and restore the engines' accounting."""
-    corpus = TraceCorpus()
-    corpus.extend(
-        [
-            Traceroute(
-                source_id=source_id,
-                platform=platform,
-                src_asn=src_asn,
-                dst_address=dst_address,
-                hops=tuple(
-                    TraceHop(
-                        ttl=ttl,
-                        address=address,
-                        rtt_ms=rtt_ms,
-                        router_id=router_id,
-                    )
-                    for ttl, address, rtt_ms, router_id in hops
-                ),
-                reached=reached,
-            )
-            for source_id, platform, src_asn, dst_address, reached, hops in (
-                payload["traces"]
-            )
-        ]
-    )
-    engine_state = payload["engine"]
-    engine.restore_issue_state(
-        (
-            int(engine_state["traces_issued"]),
-            {
-                (source_id, dst_address): count
-                for source_id, dst_address, count in engine_state[
-                    "issue_counts"
-                ]
-            },
+) -> tuple[list[Traceroute], IssueState, QueryState]:
+    """Rebuild ``(traces, issues, queries)`` without touching any engine.
+
+    Decoding is pure, so a caller can validate every payload it needs
+    before it restores (or absorbs) a single counter.
+    """
+    traces = [
+        Traceroute(
+            source_id=source_id,
+            platform=platform,
+            src_asn=src_asn,
+            dst_address=dst_address,
+            hops=tuple(
+                TraceHop(
+                    ttl=ttl,
+                    address=address,
+                    rtt_ms=rtt_ms,
+                    router_id=router_id,
+                )
+                for ttl, address, rtt_ms, router_id in hops
+            ),
+            reached=reached,
         )
+        for source_id, platform, src_asn, dst_address, reached, hops in (
+            payload["traces"]
+        )
+    ]
+    engine_state = payload["engine"]
+    issues = (
+        int(engine_state["traces_issued"]),
+        {
+            (source_id, dst_address): count
+            for source_id, dst_address, count in engine_state["issue_counts"]
+        },
     )
     lg_state = payload["looking_glass"]
-    platforms.looking_glasses.restore_query_state(
-        (
-            {asn: count for asn, count in lg_state["queries"]},
-            float(lg_state["simulated_wait_s"]),
-        )
+    queries = (
+        {asn: count for asn, count in lg_state["queries"]},
+        float(lg_state["simulated_wait_s"]),
     )
-    return corpus
+    return traces, issues, queries
 
 
 # ----------------------------------------------------------------------

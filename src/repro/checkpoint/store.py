@@ -167,6 +167,10 @@ class CheckpointStore:
         """Whether the manifest lists ``name`` (content not yet verified)."""
         return name in self._stages
 
+    def stage_names(self) -> list[str]:
+        """Every stage the manifest lists, in manifest order."""
+        return list(self._stages)
+
     def stage_digest(self, name: str) -> str | None:
         """The manifest's sha256 for ``name`` (``None`` when absent).
 

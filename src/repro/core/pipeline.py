@@ -556,13 +556,16 @@ def _pipeline_stages(
         payload = store.load_stage("campaign")
         if payload is not None:
             try:
-                corpus = decode_campaign_stage(
-                    payload, environment.engine, environment.platforms
-                )
+                traces, issues, queries = decode_campaign_stage(payload)
             except (KeyError, TypeError, ValueError) as error:
                 notify(f"checkpoint: campaign stage undecodable ({error}); recomputing")
-                corpus = None
             else:
+                environment.engine.restore_issue_state(issues)
+                environment.platforms.looking_glasses.restore_query_state(
+                    queries
+                )
+                corpus = TraceCorpus()
+                corpus.extend(traces)
                 notify(f"resume: loaded campaign stage ({len(corpus)} traces)")
     if corpus is None:
         corpus = environment.run_campaign(
@@ -572,7 +575,9 @@ def _pipeline_stages(
             store.write_stage(
                 "campaign",
                 encode_campaign_stage(
-                    corpus, environment.engine, environment.platforms
+                    corpus.traces,
+                    environment.engine.issue_baseline(),
+                    environment.platforms.looking_glasses.query_state(),
                 ),
             )
             notify(f"checkpoint: campaign stage written ({len(corpus)} traces)")

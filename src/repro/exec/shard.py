@@ -52,7 +52,8 @@ def substream(*parts: object) -> Random:
     Under the sanitizer the stream is stamped with its derivation, so
     draw chokepoints can assert provenance (``assert_rng``).
     """
-    return tag_rng(Random(":".join(str(part) for part in parts)), *parts)
+    key = ":".join(str(part) for part in parts)
+    return tag_rng(Random(key), key)
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,13 +26,24 @@ Snapshot lifecycle and versioning:
 * the read path holds exactly one snapshot reference; a publish swaps
   it with a single assignment, so queries never observe a torn map.
 
-Crash recovery: after every epoch the service checkpoints a ``stream``
-stage (epoch count, fold boundaries, planned slice sizes, and the
-campaign codec's trace + engine-accounting payload).  A restart with
-``resume=True`` validates the recorded plan against its own, restores
-the corpus and measurement substrate, replays the fold per recorded
-epoch boundary — reproducing the ingest state exactly — and re-publishes
-the last epoch's snapshot before continuing the stream.  Probe-
+Crash recovery: the stream checkpoint is append-only.  After epoch
+``k`` the service writes one stage, ``stream-epoch-<k>``, holding only
+that epoch's arrived traces plus the accounting the epoch changed (the
+engine's issue-count deltas and the looking-glass query ledger, in the
+campaign codec's layout), then rewrites the small ``stream`` index:
+epoch count, fold boundaries, planned slice sizes and the sha256 of
+every epoch stage in order.  The index is the commit record — an epoch
+stage it does not list by digest is never read — so each epoch costs
+what it adds, never the whole corpus again.  A restart with
+``resume=True`` validates the index against its own plan, checks and
+decodes every listed epoch stage before it touches any state, then
+absorbs each epoch's accounting and replays the fold epoch by epoch —
+reproducing the ingest state exactly — and re-publishes the last
+epoch's snapshot before continuing the stream.  Any stage that is
+missing, differs from its digest, fails to decode or disagrees with the
+boundaries degrades to a fresh stream, and a stream (fresh or resumed)
+drops the epoch stages at and past its start epoch that an earlier,
+longer stream in the same directory left behind.  Probe-
 perturbing fault plans disable stream resume (their failure draws come
 from sequential per-run RNG streams that a restored engine cannot
 replay), as does a probe-budget cap (the restarted driver's budget
@@ -69,6 +80,7 @@ from ..checkpoint import (
     decode_campaign_stage,
     encode_campaign_stage,
 )
+from ..checkpoint.stages import IssueState
 from ..core.pipeline import (
     Environment,
     PipelineConfig,
@@ -89,8 +101,11 @@ from .supervise import ServicePolicy, ServiceSupervisor
 
 __all__ = ["MapService", "ServiceHandle"]
 
-#: Checkpoint stage holding the mid-stream resume state.
+#: Checkpoint stage indexing the mid-stream resume state (the commit
+#: record: epoch count, boundaries, slice sizes, epoch-stage digests).
 STREAM_STAGE = "stream"
+#: Name prefix of the per-epoch stages the index lists by digest.
+STREAM_EPOCH_PREFIX = "stream-epoch-"
 
 
 def _clean_int(value: Any) -> bool:
@@ -104,12 +119,16 @@ def _clean_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _stream_shape_valid(epochs_done: Any, boundaries: Any) -> bool:
-    """Whether a stream stage's epoch/boundary bookkeeping is coherent.
+def _stream_shape_valid(
+    epochs_done: Any, boundaries: Any, digests: Any
+) -> bool:
+    """Whether a stream index's epoch/boundary/digest bookkeeping is
+    coherent.
 
     Boundaries are cumulative corpus sizes per completed epoch, so they
     must be genuine non-negative ints, non-decreasing (an epoch may
-    fold zero traces, never remove any), one per completed epoch.
+    fold zero traces, never remove any), one per completed epoch; so is
+    one digest string per completed epoch.
     """
     return (
         _clean_int(epochs_done)
@@ -121,6 +140,9 @@ def _stream_shape_valid(epochs_done: Any, boundaries: Any) -> bool:
             boundaries[i] <= boundaries[i + 1]
             for i in range(len(boundaries) - 1)
         )
+        and isinstance(digests, list)
+        and len(digests) == epochs_done
+        and all(isinstance(digest, str) for digest in digests)
     )
 
 
@@ -243,14 +265,17 @@ class MapService:
         fold: StreamingCfs,
         corpus: TraceCorpus,
     ) -> tuple[int, MapSnapshot | None, list[int]]:
-        """Restore mid-stream state from the ``stream`` checkpoint stage.
+        """Restore mid-stream state from the ``stream`` index and the
+        epoch stages it lists.
 
         Returns ``(epochs_done, last_snapshot, boundaries)`` —
         ``(0, None, [])`` when there is nothing (or nothing trustworthy)
-        to restore.  The fold is replayed chunk by chunk along the
-        recorded epoch boundaries, so the restored ingest state is
-        identical to the state the interrupted run held after its last
-        completed epoch.
+        to restore.  Every listed epoch stage is digest-checked and
+        decoded before anything is mutated, so a refused checkpoint
+        leaves the engines untouched.  The fold is then replayed epoch
+        by epoch along the recorded boundaries, so the restored ingest
+        state is identical to the state the interrupted run held after
+        its last completed epoch.
         """
         nothing = (0, None, [])
         if self.store is None or not self.config.resume:
@@ -274,69 +299,112 @@ class MapService:
             return nothing
         epochs_done = payload.get("epoch")
         boundaries = payload.get("boundaries")
-        if not _stream_shape_valid(epochs_done, boundaries):
+        digests = payload.get("epoch_digests")
+        if not _stream_shape_valid(epochs_done, boundaries, digests):
             self._notify(
                 "serve: stream stage has an unknown layout; starting fresh"
             )
             return nothing
-        try:
-            restored = decode_campaign_stage(
-                payload["campaign"],
-                self.environment.engine,
-                self.environment.platforms,
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            self._notify(
-                f"serve: stream stage undecodable ({error}); starting fresh"
-            )
-            return nothing
-        if len(restored) != boundaries[-1]:
-            self._notify(
-                "serve: stream stage boundaries disagree with its corpus; "
-                "starting fresh"
-            )
-            return nothing
-        corpus.extend(restored.traces)
+        epochs = []
         start = 0
-        for boundary in boundaries:
-            fold.fold(restored.traces[start:boundary])
+        for epoch, (boundary, digest) in enumerate(zip(boundaries, digests)):
+            name = f"{STREAM_EPOCH_PREFIX}{epoch}"
+            stage = (
+                self.store.load_stage(name)
+                if self.store.stage_digest(name) == digest
+                else None
+            )
+            if stage is None:
+                self._notify(
+                    f"serve: {name} is missing or differs from the stream "
+                    "index; starting fresh"
+                )
+                return nothing
+            try:
+                traces, issues, queries = decode_campaign_stage(stage)
+            except (KeyError, TypeError, ValueError) as error:
+                self._notify(
+                    f"serve: {name} undecodable ({error}); starting fresh"
+                )
+                return nothing
+            if len(traces) != boundary - start:
+                self._notify(
+                    "serve: stream stage boundaries disagree with its "
+                    "corpus; starting fresh"
+                )
+                return nothing
+            epochs.append((traces, issues))
             start = boundary
+        engine = self.environment.engine
+        for traces, issues in epochs:
+            engine.absorb_issue_deltas(*issues)
+            corpus.extend(traces)
+            fold.fold(traces)
+        # Each epoch stage carries the whole ledger; the last one wins.
+        self.environment.platforms.looking_glasses.restore_query_state(queries)
         snapshot = self._interim_snapshot(fold, epochs_done - 1)
         self._obs.count("ingest.resumes")
         self._obs.emit(
             "ingest.resume",
             epoch=epochs_done,
-            traces=len(restored),
+            traces=len(corpus),
             fingerprint=snapshot.fingerprint,
         )
         self._notify(
             f"serve: resumed after epoch {epochs_done} "
-            f"({len(restored)} traces restored)"
+            f"({len(corpus)} traces restored)"
         )
-        return epochs_done, snapshot, [int(b) for b in boundaries]
+        return epochs_done, snapshot, list(boundaries)
 
-    def _checkpoint_stream(
-        self,
-        epochs_done: int,
-        boundaries: list[int],
-        task_sizes: list[int],
-        corpus: TraceCorpus,
+    def _checkpoint_epoch(
+        self, epoch: int, arrived: list[Traceroute], issues: IssueState
+    ) -> IssueState:
+        """Write ``stream-epoch-<epoch>``: the epoch's arrivals, the
+        issue counts added since ``issues`` and the looking-glass
+        ledger.  Returns the accounting the next epoch diffs against.
+        """
+        engine = self.environment.engine
+        self.store.write_stage(
+            f"{STREAM_EPOCH_PREFIX}{epoch}",
+            encode_campaign_stage(
+                arrived,
+                engine.issue_deltas_since(issues),
+                self.environment.platforms.looking_glasses.query_state(),
+            ),
+        )
+        return engine.issue_baseline()
+
+    def _commit_stream(
+        self, epochs_done: int, boundaries: list[int], task_sizes: list[int]
     ) -> None:
-        if self.store is None:
-            return
+        """Rewrite the ``stream`` index, naming by digest every epoch
+        stage a resume may read."""
         self.store.write_stage(
             STREAM_STAGE,
             {
                 "epoch": epochs_done,
                 "boundaries": list(boundaries),
                 "task_sizes": list(task_sizes),
-                "campaign": encode_campaign_stage(
-                    corpus,
-                    self.environment.engine,
-                    self.environment.platforms,
-                ),
+                "epoch_digests": [
+                    self.store.stage_digest(f"{STREAM_EPOCH_PREFIX}{epoch}")
+                    for epoch in range(epochs_done)
+                ],
             },
         )
+
+    def _drop_stale_epoch_stages(self, start_epoch: int) -> None:
+        """Retire epoch stages at or past ``start_epoch``.
+
+        This stream rewrites those epochs; until it does, a stage left
+        by an earlier, longer stream in the same directory would linger
+        in the manifest (never read: no index lists it by digest).
+        """
+        for name in self.store.stage_names():
+            if not name.startswith(STREAM_EPOCH_PREFIX):
+                continue
+            suffix = name[len(STREAM_EPOCH_PREFIX):]
+            if suffix.isdigit() and int(suffix) >= start_epoch:
+                self.store.drop_stage(name)
 
     def _interim_snapshot(self, fold: StreamingCfs, epoch: int) -> MapSnapshot:
         return build_snapshot(
@@ -391,7 +459,7 @@ class MapService:
         # the stream stage's boundary bookkeeping assumes — under
         # service-layer faults the mid-stream checkpoint is skipped
         # (resume is already disabled by ``_stream_resumable``).
-        stream_checkpointing = not (
+        stream_checkpointing = self.store is not None and not (
             injector is not None and injector.plan.perturbs_serve
         )
 
@@ -418,6 +486,9 @@ class MapService:
                 resumed_snapshot, f"snapshot-epoch-{start_epoch - 1}"
             )
             handle.snapshots.append(resumed_snapshot)
+        if stream_checkpointing:
+            self._drop_stale_epoch_stages(start_epoch)
+        issues = env.engine.issue_baseline()
 
         for epoch in range(start_epoch, len(slices)):
             obs.count("ingest.epochs")
@@ -441,12 +512,12 @@ class MapService:
             boundaries.append(len(corpus))
             snapshot = self._interim_snapshot(fold, epoch)
             published = supervisor.publish(snapshot, f"snapshot-epoch-{epoch}")
+            if stream_checkpointing:
+                issues = self._checkpoint_epoch(epoch, arrived, issues)
             if published:
                 handle.snapshots.append(snapshot)
                 if stream_checkpointing:
-                    self._checkpoint_stream(
-                        epoch + 1, boundaries, task_sizes, corpus
-                    )
+                    self._commit_stream(epoch + 1, boundaries, task_sizes)
             obs.emit(
                 "ingest.epoch.done",
                 epoch=epoch,
@@ -497,7 +568,7 @@ class MapService:
         obs.emit("campaign.budget", **driver.budget.as_dict())
 
         # Full convergence over a copy: follow-ups must not pollute the
-        # accumulated stream corpus (which the stream stage checkpointed).
+        # accumulated stream corpus (which the epoch stages checkpointed).
         # Assembled in plan order — restored prefix, then each executed
         # or drained epoch — which equals arrival order whenever nothing
         # was quarantined.

@@ -29,7 +29,7 @@ from repro.serve import (
 )
 from repro.serve.health import HealthPolicy, snapshot_data_health
 from repro.serve.ingest import StreamingCfs
-from repro.serve.service import STREAM_STAGE
+from repro.serve.service import STREAM_EPOCH_PREFIX, STREAM_STAGE
 
 #: Matches the shared ``small_stream_handle`` fixture (seed 3, 3 epochs),
 #: whose final fingerprint is the clean baseline the fault runs must hit.
@@ -374,61 +374,85 @@ class TestSeededServiceFaults:
 
 
 # ----------------------------------------------------------------------
-# Resume hardening: every malformed stream-stage branch
+# Resume hardening: every malformed stream-index and epoch-stage branch
 # ----------------------------------------------------------------------
 
-
-def _bool_epoch(payload):
-    payload["epoch"] = True
-
-
-def _zero_epoch(payload):
-    payload["epoch"] = 0
+#: The paused fixture stream's last epoch stage (epoch 0 before it is
+#: sound, so a refusal here shows nothing was restored early).
+EPOCH_STAGE = f"{STREAM_EPOCH_PREFIX}1"
 
 
-def _string_epoch(payload):
-    payload["epoch"] = "1"
+def _bool_epoch(index, store):
+    index["epoch"] = True
 
 
-def _missing_epoch(payload):
-    del payload["epoch"]
+def _zero_epoch(index, store):
+    index["epoch"] = 0
 
 
-def _boundaries_not_list(payload):
-    payload["boundaries"] = {"0": payload["boundaries"][0]}
+def _string_epoch(index, store):
+    index["epoch"] = str(index["epoch"])
 
 
-def _boundaries_wrong_length(payload):
-    payload["boundaries"] = payload["boundaries"] + [payload["boundaries"][-1]]
+def _missing_epoch(index, store):
+    del index["epoch"]
 
 
-def _boundaries_bool(payload):
-    payload["boundaries"] = [True]
+def _boundaries_not_list(index, store):
+    index["boundaries"] = {"0": index["boundaries"][0]}
 
 
-def _boundaries_negative(payload):
-    payload["boundaries"] = [-1]
+def _boundaries_wrong_length(index, store):
+    index["boundaries"] = index["boundaries"] + [index["boundaries"][-1]]
 
 
-def _boundaries_decreasing(payload):
-    payload["epoch"] = 2
-    payload["boundaries"] = [5, 3]
+def _boundaries_bool(index, store):
+    index["boundaries"][0] = True
 
 
-def _plan_mismatch(payload):
-    payload["task_sizes"] = [1, 2, 3]
+def _boundaries_negative(index, store):
+    index["boundaries"][0] = -1
 
 
-def _campaign_undecodable(payload):
-    payload["campaign"] = {"bogus": 1}
+def _boundaries_decreasing(index, store):
+    index["boundaries"].reverse()
 
 
-def _campaign_missing(payload):
-    del payload["campaign"]
+def _plan_mismatch(index, store):
+    index["task_sizes"] = [1, 2, 3]
 
 
-def _corpus_boundary_mismatch(payload):
-    payload["boundaries"] = [payload["boundaries"][-1] + 1]
+def _rewrite_epoch_stage(index, store, payload):
+    """Replace the epoch stage and re-list it, so the index trusts it."""
+    store.write_stage(EPOCH_STAGE, payload)
+    index["epoch_digests"][-1] = store.stage_digest(EPOCH_STAGE)
+
+
+def _epoch_stage_undecodable(index, store):
+    _rewrite_epoch_stage(index, store, {"bogus": 1})
+
+
+def _epoch_stage_missing(index, store):
+    store.drop_stage(EPOCH_STAGE)
+
+
+def _epoch_count_mismatch(index, store):
+    stage = store.load_stage(EPOCH_STAGE)
+    stage["traces"].pop()
+    _rewrite_epoch_stage(index, store, stage)
+
+
+def _epoch_digest_mismatch(index, store):
+    # A decodable, self-consistent stage the index does not list.
+    stage = store.load_stage(EPOCH_STAGE)
+    stage["traces"].pop()
+    store.write_stage(EPOCH_STAGE, stage)
+
+
+def _parent_layout(index, store):
+    # The whole-corpus layout: the corpus inline, no digest list.
+    index["campaign"] = store.load_stage(EPOCH_STAGE)
+    del index["epoch_digests"]
 
 
 _TAMPER_CASES = [
@@ -451,14 +475,20 @@ _TAMPER_CASES = [
     ),
     pytest.param(_plan_mismatch, "planned differently", id="plan-mismatch"),
     pytest.param(
-        _campaign_undecodable, "undecodable", id="campaign-undecodable"
+        _epoch_stage_undecodable, "undecodable", id="epoch-stage-undecodable"
     ),
-    pytest.param(_campaign_missing, "undecodable", id="campaign-missing"),
     pytest.param(
-        _corpus_boundary_mismatch,
-        "disagree with its corpus",
-        id="corpus-mismatch",
+        _epoch_stage_missing, "missing or differs", id="epoch-stage-missing"
     ),
+    pytest.param(
+        _epoch_count_mismatch,
+        "disagree with its corpus",
+        id="epoch-count-mismatch",
+    ),
+    pytest.param(
+        _epoch_digest_mismatch, "missing or differs", id="epoch-digest-mismatch"
+    ),
+    pytest.param(_parent_layout, "unknown layout", id="parent-layout"),
 ]
 
 
@@ -467,7 +497,7 @@ def paused_checkpoint_dir(tmp_path_factory):
     checkpoint_dir = str(tmp_path_factory.mktemp("resume") / "ckpt")
     paused = serve_map(
         seed=RESUME_SEED, scale="small", epochs=EPOCHS,
-        checkpoint_dir=checkpoint_dir, stop_after_epoch=0,
+        checkpoint_dir=checkpoint_dir, stop_after_epoch=1,
     )
     assert paused.final is None
     return checkpoint_dir
@@ -475,11 +505,12 @@ def paused_checkpoint_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def resume_probe(paused_checkpoint_dir):
-    """One resume-configured service plus its pristine stream payload.
+    """One resume-configured service plus its pristine stream stages.
 
-    Shared across the tamper cases: each writes a mutated copy of the
-    stage and calls ``_try_resume`` directly, asserting the malformed
-    state is refused (never decoded into a half-restored stream).
+    Shared across the tamper cases: each restores the pristine epoch
+    stage, writes a mutated index (and maybe epoch stage) and calls
+    ``_try_resume`` directly, asserting the malformed state is refused
+    (never decoded into a half-restored stream).
     """
     notices: list[str] = []
     config = dataclasses.replace(
@@ -490,7 +521,17 @@ def resume_probe(paused_checkpoint_dir):
     service = MapService(config, progress=notices.append)
     pristine = service.store.load_stage(STREAM_STAGE)
     assert isinstance(pristine, dict)
-    return service, notices, pristine
+    pristine_epoch = service.store.load_stage(EPOCH_STAGE)
+    assert isinstance(pristine_epoch, dict)
+    return service, notices, pristine, pristine_epoch
+
+
+def _accounting(service):
+    environment = service.environment
+    return (
+        environment.engine.issue_baseline(),
+        environment.platforms.looking_glasses.query_state(),
+    )
 
 
 class TestResumeHardening:
@@ -498,20 +539,27 @@ class TestResumeHardening:
     def test_malformed_stream_stage_degrades_to_fresh(
         self, resume_probe, tamper, fragment
     ):
-        service, notices, pristine = resume_probe
-        payload = json.loads(json.dumps(pristine))  # deep copy
-        tamper(payload)
-        service.store.write_stage(STREAM_STAGE, payload)
+        service, notices, pristine, pristine_epoch = resume_probe
+        store = service.store
+        store.write_stage(EPOCH_STAGE, pristine_epoch)
+        index = json.loads(json.dumps(pristine))  # deep copy
+        tamper(index, store)
+        store.write_stage(STREAM_STAGE, index)
+        before = _accounting(service)
+        corpus = TraceCorpus()
         result = service._try_resume(
             list(pristine["task_sizes"]),
             StreamingCfs(service.environment),
-            TraceCorpus(),
+            corpus,
         )
         assert result == (0, None, [])
         assert fragment in notices[-1]
+        # Refused before anything was restored.
+        assert len(corpus) == 0
+        assert _accounting(service) == before
 
     def test_non_dict_stream_stage_degrades_to_fresh(self, resume_probe):
-        service, notices, pristine = resume_probe
+        service, notices, pristine, _pristine_epoch = resume_probe
         service.store.write_stage(STREAM_STAGE, ["not", "a", "dict"])
         result = service._try_resume(
             list(pristine["task_sizes"]),
@@ -522,7 +570,8 @@ class TestResumeHardening:
         assert "unknown layout" in notices[-1]
 
     def test_pristine_stage_still_resumes(self, resume_probe):
-        service, _notices, pristine = resume_probe
+        service, _notices, pristine, pristine_epoch = resume_probe
+        service.store.write_stage(EPOCH_STAGE, pristine_epoch)
         service.store.write_stage(STREAM_STAGE, pristine)
         corpus = TraceCorpus()
         epochs_done, snapshot, boundaries = service._try_resume(
@@ -530,10 +579,51 @@ class TestResumeHardening:
             StreamingCfs(service.environment),
             corpus,
         )
-        assert epochs_done == 1
-        assert snapshot is not None and snapshot.epoch == 0
+        assert epochs_done == 2
+        assert snapshot is not None and snapshot.epoch == 1
         assert boundaries == pristine["boundaries"]
         assert len(corpus) == boundaries[-1]
+
+    def test_shorter_fresh_stream_drops_stale_epoch_stages(self, tmp_path):
+        checkpoint_dir = str(tmp_path / "ckpt")
+        longer = serve_map(
+            seed=RESUME_SEED, scale="small", epochs=4,
+            checkpoint_dir=checkpoint_dir, stop_after_epoch=3,
+        )
+        assert longer.service.store.has_stage(f"{STREAM_EPOCH_PREFIX}3")
+        sink = MemorySink()
+        shorter = serve_map(
+            seed=RESUME_SEED, scale="small", epochs=2,
+            checkpoint_dir=checkpoint_dir, stop_after_epoch=1,
+            instrumentation=Instrumentation(sink),
+        )
+        store = shorter.service.store
+        for epoch in (2, 3):
+            assert not store.has_stage(f"{STREAM_EPOCH_PREFIX}{epoch}")
+        index = store.load_stage(STREAM_STAGE)
+        assert index["epoch"] == 2
+        assert index["epoch_digests"] == [
+            store.stage_digest(f"{STREAM_EPOCH_PREFIX}{epoch}")
+            for epoch in range(2)
+        ]
+        # A resume of the shorter stream reads exactly its own stages.
+        sink.clear()
+        resumed = serve_map(
+            seed=RESUME_SEED, scale="small", epochs=2,
+            checkpoint_dir=checkpoint_dir, resume=True,
+            instrumentation=Instrumentation(sink),
+        )
+        assert resumed.resumed is True
+        loaded = {
+            event.payload["stage"]
+            for event in sink.by_name("checkpoint.load")
+            if event.payload["stage"].startswith(STREAM_STAGE)
+        }
+        assert loaded == {
+            STREAM_STAGE,
+            f"{STREAM_EPOCH_PREFIX}0",
+            f"{STREAM_EPOCH_PREFIX}1",
+        }
 
     def test_campaign_initial_reports_restored_traces(self, tmp_path):
         checkpoint_dir = str(tmp_path / "ckpt")

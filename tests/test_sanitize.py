@@ -81,7 +81,7 @@ class TestGating:
 
     def test_violation_is_an_assertion(self):
         # Supervisors contain operational failures but never
-        # assertions, so a trip always fails loud (R013's carve-out).
+        # assertions, so a trip always fails loud (R008's carve-out).
         assert issubclass(SanitizerViolation, AssertionError)
 
 
@@ -105,7 +105,7 @@ class TestRngProvenance:
             assert assert_rng(rng, "site") is rng
 
     def test_assert_rng_trips_on_ambient_stream(self):
-        # Runtime half of R011: an RNG that did not come from
+        # Runtime half of R001: an RNG that did not come from
         # substream()/tag_rng() reaching a draw chokepoint.
         with armed():
             with pytest.raises(SanitizerViolation, match="rng.untagged"):
@@ -165,7 +165,7 @@ class TestTripwireMapping:
                 config_fingerprint="cfg",
                 traces_ingested=len(corpus),
             )
-            # Runtime half of R009/R012: in-place mutation of a
+            # Runtime half of R005: in-place mutation of a
             # published index.
             with pytest.raises(SanitizerViolation, match="snapshot.stats"):
                 snapshot.stats["interfaces"] = 0
@@ -185,7 +185,7 @@ class TestHealthGuard:
         assert sanitize.violations() == ()
 
     def test_direct_state_write_trips(self):
-        # Runtime half of R010/R012: poking health state from outside
+        # Runtime half of R005: poking health state from outside
         # the documented mutation points.
         health = ServiceHealth()
         with armed():
