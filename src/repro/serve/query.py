@@ -24,6 +24,10 @@ answered from)::
 
 Unknown commands and malformed arguments answer ``{"error": ...}`` —
 the daemon never dies on a bad query line.
+
+Every spelling of a line parses once, to one normalised query (see
+``_parse``).  On the wire path a found lookup is rendered once per
+snapshot and its text served from that snapshot's answer memo after.
 """
 
 from __future__ import annotations
@@ -52,6 +56,17 @@ _HELP = {
     "counters, and change-vs-fault assessment; with a facility id, that "
     "facility's disruption-alarm status (live service only)",
     "help": "this command list",
+}
+
+
+#: Verbs whose answers :meth:`QueryEngine.execute_line` memoises, with
+#: the ``found`` flag every stored answer carries: a lookup is stored
+#: only when found, and ``info`` has no flag.
+_MEMOISED: dict[str, bool | None] = {
+    "iface": True,
+    "link": True,
+    "tenants": True,
+    "info": None,
 }
 
 
@@ -87,23 +102,73 @@ def _link_document(link: LinkEntry) -> dict[str, Any]:
     }
 
 
-def query_snapshot(snapshot: MapSnapshot, line: str) -> dict[str, Any]:
-    """Answer one query line against one immutable snapshot.
+def _parse(line: str) -> tuple[Any, ...]:
+    """Tokenise one query line into its normalised query.
 
-    Pure read: the snapshot is never touched beyond index lookups, and
-    every response carries the snapshot's epoch and fingerprint so a
-    caller can tell which published version answered it.
+    The one parse behind :func:`query_snapshot`, :meth:`QueryEngine.execute`
+    and the answer memo's key: ``("iface", address)``, ``("link", (low,
+    high))``, ``("tenants", facility)``, ``("info",)``, ``("help",)``,
+    ``("health", args)``, or ``("error", message)`` for a malformed line.
+    Every spelling of one lookup (dotted or integer address, either AS
+    order, any case or spacing, leading zeros) parses to the same tuple.
     """
-    version = {"epoch": snapshot.epoch, "fingerprint": snapshot.fingerprint}
-    tokens = line.strip().split()
+    tokens = line.split()
     if not tokens:
-        return {"error": "empty query; try 'help'", **version}
+        return ("error", "empty query; try 'help'")
     command, args = tokens[0].lower(), tokens[1:]
 
-    if command == "help":
+    if command in ("help", "info"):
+        return (command,)
+
+    if command == "iface":
+        if len(args) != 1:
+            return ("error", "usage: iface <address>")
+        try:
+            return ("iface", _parse_address(args[0]))
+        except ValueError:
+            return ("error", f"bad address {args[0]!r}")
+
+    if command == "link":
+        if len(args) != 2:
+            return ("error", "usage: link <asn> <asn>")
+        try:
+            near, far = int(args[0]), int(args[1])
+        except ValueError:
+            return ("error", f"bad AS pair {args[0]!r} {args[1]!r}")
+        return ("link", (min(near, far), max(near, far)))
+
+    if command == "health":
+        return ("health", tuple(args))
+
+    if command == "tenants":
+        if len(args) != 1:
+            return ("error", "usage: tenants <facility-id>")
+        try:
+            facility = int(args[0])
+        except ValueError:
+            return ("error", "usage: tenants <facility-id>")
+        # Facility ids share the address bound: a tampered or fat-
+        # fingered id like -5 or 10^14 is a clean miss-shaped error,
+        # not an unbounded dict probe.
+        if not 0 <= facility <= MAX_IPV4:
+            return ("error", f"facility id {args[0]!r} is outside [0, 2^32)")
+        return ("tenants", facility)
+
+    return ("error", f"unknown command {command!r}; try 'help'")
+
+
+def _answer(snapshot: MapSnapshot, query: tuple[Any, ...]) -> dict[str, Any]:
+    """The response document for one parsed query against ``snapshot``."""
+    version = {"epoch": snapshot.epoch, "fingerprint": snapshot.fingerprint}
+    kind = query[0]
+
+    if kind == "error":
+        return {"error": query[1], **version}
+
+    if kind == "help":
         return {"query": "help", "commands": dict(_HELP), **version}
 
-    if command == "info":
+    if kind == "info":
         return {
             "query": "info",
             "final": snapshot.final,
@@ -116,13 +181,8 @@ def query_snapshot(snapshot: MapSnapshot, line: str) -> dict[str, Any]:
             **version,
         }
 
-    if command == "iface":
-        if len(args) != 1:
-            return {"error": "usage: iface <address>", **version}
-        try:
-            address = _parse_address(args[0])
-        except ValueError:
-            return {"error": f"bad address {args[0]!r}", **version}
+    if kind == "iface":
+        address = query[1]
         entry = snapshot.interfaces.get(address)
         if entry is None:
             return {
@@ -145,14 +205,8 @@ def query_snapshot(snapshot: MapSnapshot, line: str) -> dict[str, Any]:
             **version,
         }
 
-    if command == "link":
-        if len(args) != 2:
-            return {"error": "usage: link <asn> <asn>", **version}
-        try:
-            near, far = int(args[0]), int(args[1])
-        except ValueError:
-            return {"error": f"bad AS pair {args[0]!r} {args[1]!r}", **version}
-        pair = (min(near, far), max(near, far))
+    if kind == "link":
+        pair = query[1]
         links = snapshot.links_by_aspair.get(pair, ())
         return {
             "query": "link",
@@ -162,30 +216,8 @@ def query_snapshot(snapshot: MapSnapshot, line: str) -> dict[str, Any]:
             **version,
         }
 
-    if command == "health":
-        # The snapshot alone has no service state; the live engine
-        # intercepts this verb before it gets here.
-        return {
-            "error": "health requires a live service "
-            "(query through the service's engine)",
-            **version,
-        }
-
-    if command == "tenants":
-        if len(args) != 1:
-            return {"error": "usage: tenants <facility-id>", **version}
-        try:
-            facility = int(args[0])
-        except ValueError:
-            return {"error": "usage: tenants <facility-id>", **version}
-        # Facility ids share the address bound: a tampered or fat-
-        # fingered id like -5 or 10^14 is a clean miss-shaped error,
-        # not an unbounded dict probe.
-        if not 0 <= facility <= MAX_IPV4:
-            return {
-                "error": f"facility id {args[0]!r} is outside [0, 2^32)",
-                **version,
-            }
+    if kind == "tenants":
+        facility = query[1]
         tenants = snapshot.facility_tenants.get(facility, ())
         return {
             "query": "tenants",
@@ -195,10 +227,23 @@ def query_snapshot(snapshot: MapSnapshot, line: str) -> dict[str, Any]:
             **version,
         }
 
+    # ``health``: the snapshot alone has no service state; the live
+    # engine intercepts this verb before it gets here.
     return {
-        "error": f"unknown command {command!r}; try 'help'",
+        "error": "health requires a live service "
+        "(query through the service's engine)",
         **version,
     }
+
+
+def query_snapshot(snapshot: MapSnapshot, line: str) -> dict[str, Any]:
+    """Answer one query line against one immutable snapshot.
+
+    Pure read: the snapshot is never touched beyond index lookups, and
+    every response carries the snapshot's epoch and fingerprint so a
+    caller can tell which published version answered it.
+    """
+    return _answer(snapshot, _parse(line))
 
 
 class QueryEngine:
@@ -206,7 +251,10 @@ class QueryEngine:
 
     The snapshot reference is the only mutable state, and only
     :meth:`swap`, its declared mutation point, writes it.  Queries read
-    it once per request.
+    it once per request.  Rendered wire text is kept on the snapshot
+    (see :meth:`execute_line`), so it is dropped with the snapshot, not
+    with a swap: a service cycling through its publish history keeps
+    each version's answers warm.
     """
 
     def __init__(
@@ -275,14 +323,19 @@ class QueryEngine:
 
     def execute(self, line: str) -> dict[str, Any]:
         """Answer one query line against the snapshot captured now."""
-        snapshot = self._snapshot  # the one capture; never re-read below
+        return self._respond(self._snapshot, _parse(line))
+
+    def _respond(
+        self, snapshot: MapSnapshot | None, query: tuple[Any, ...]
+    ) -> dict[str, Any]:
+        """Answer ``query`` against ``snapshot``, the caller's one capture."""
         self._obs.count("serve.queries")
-        tokens = line.strip().split()
-        if tokens and tokens[0].lower() == "health" and self._health is not None:
-            if len(tokens) == 1:
+        if query[0] == "health" and self._health is not None:
+            args = query[1]
+            if not args:
                 response: dict[str, Any] = self._health.report(snapshot)
-            elif len(tokens) == 2:
-                response = self._facility_health(tokens[1], snapshot)
+            elif len(args) == 1:
+                response = self._facility_health(args[0], snapshot)
             else:
                 response = {"error": "usage: health [facility-id]"}
             self._obs.emit(
@@ -294,7 +347,7 @@ class QueryEngine:
             return response
         if snapshot is None:
             return {"error": "no snapshot published yet"}
-        response = query_snapshot(snapshot, line)
+        response = _answer(snapshot, query)
         self._obs.emit(
             "serve.query",
             kind=response.get("query", "error"),
@@ -304,5 +357,36 @@ class QueryEngine:
         return response
 
     def execute_line(self, line: str) -> str:
-        """One-line JSON rendering of :meth:`execute` (the wire format)."""
-        return json.dumps(self.execute(line), sort_keys=True)
+        """One-line JSON rendering of :meth:`execute` (the wire format).
+
+        A found lookup or ``info`` is rendered once per snapshot and
+        stored in that snapshot's :class:`~repro.serve.snapshot.AnswerMemo`
+        under its normalised query; later asks, in any spelling, return
+        the stored text.  Misses, errors and ``health`` are rendered
+        every time: a miss's key space has no bound, and ``health`` is
+        live service state.  The snapshot is captured once, so an answer
+        is only ever stored in the memo of the version that rendered it.
+        """
+        snapshot = self._snapshot  # the one capture; never re-read below
+        query = _parse(line)
+        if snapshot is not None:
+            text = snapshot.answers.get(query)
+            if text is not None:
+                self._obs.count("serve.queries")
+                self._obs.emit(
+                    "serve.query",
+                    kind=query[0],
+                    found=_MEMOISED[query[0]],
+                    epoch=snapshot.epoch,
+                )
+                return text
+        response = self._respond(snapshot, query)
+        text = json.dumps(response, sort_keys=True)
+        if (
+            snapshot is not None
+            and query[0] in _MEMOISED
+            and response.get("found") is _MEMOISED[query[0]]
+        ):
+            snapshot.answers.store(query, text)
+            self._obs.count("serve.answers.rendered")
+        return text

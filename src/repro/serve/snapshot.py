@@ -23,12 +23,18 @@ batch run, and what makes successive published fingerprints a cheap
 outage-detection diff.  The checkpoint-store manifest checksum over the
 full payload (fingerprint *plus* epoch metadata) is the publication
 **watermark**.
+
+Each snapshot also carries an :class:`AnswerMemo`: the wire text of the
+answers the query engine has already rendered from it.  The memo is
+derived text, not content — it is filled lazily on the read path, is
+excluded from equality, the fingerprint and the payload codec, and
+lives and dies with its snapshot.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -36,10 +42,15 @@ from typing import Any, Mapping
 from ..checkpoint.atomic import canonical_json, sha256_hex
 from ..core.types import CfsResult
 from ..inference.disruption import SnapshotDiff, diff_maps
-from ..sanitize import TripwireMapping, enabled as sanitizer_enabled
+from ..sanitize import (
+    TripwireMapping,
+    enabled as sanitizer_enabled,
+    mutation_point,
+)
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
+    "AnswerMemo",
     "InterfaceEntry",
     "LinkEntry",
     "MapSnapshot",
@@ -85,6 +96,36 @@ class LinkEntry:
     confidence: float
 
 
+class AnswerMemo:
+    """Wire text of the answers already rendered from one snapshot.
+
+    Keyed by the normalised query (see :mod:`repro.serve.query`); holds
+    at most one entry per indexed entity plus ``info``, because only
+    found lookups are stored.  :meth:`store` is the one write site.  Two
+    threads that miss on the same key both render it and store the same
+    text, so the race costs a render, never a wrong answer.
+    """
+
+    # __weakref__ lets a test prove the memo dies with its snapshot.
+    __slots__ = ("_texts", "_write_depth", "__weakref__")
+
+    def __init__(self) -> None:
+        self._texts: dict[tuple[Any, ...], str] = {}
+        self._write_depth = 0
+
+    def __len__(self) -> int:
+        return len(self._texts)
+
+    def get(self, key: tuple[Any, ...]) -> str | None:
+        """The stored text for ``key``, or ``None`` before its first ask."""
+        return self._texts.get(key)
+
+    @mutation_point
+    def store(self, key: tuple[Any, ...], text: str) -> None:
+        """Record the rendered answer to ``key``."""
+        self._texts[key] = text
+
+
 @dataclass(frozen=True, slots=True)
 class MapSnapshot:
     """One immutable, fingerprinted version of the inferred map.
@@ -122,6 +163,11 @@ class MapSnapshot:
     facility_tenants: Mapping[int, tuple[int, ...]]
     #: Headline counts of the published map.
     stats: Mapping[str, int]
+    #: Rendered answers, filled by the query engine.  Not content: a
+    #: fresh, empty memo per instance, outside equality and the codec.
+    answers: AnswerMemo = field(
+        default_factory=AnswerMemo, init=False, compare=False, repr=False
+    )
 
 
 def diff_snapshots(before: MapSnapshot, after: MapSnapshot) -> SnapshotDiff:

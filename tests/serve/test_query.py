@@ -7,12 +7,90 @@ exactly one published version — never a mix of two.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
+import random
+import sys
 import threading
+import time
+import weakref
 
-from repro.obs import Instrumentation
-from repro.serve import QueryEngine, query_snapshot
+import pytest
+
+from repro.obs import Instrumentation, MemorySink
+from repro.serve import QueryEngine, ServiceHealth, query_snapshot
 from repro.topology.addressing import int_to_ip
+
+#: Lines that must answer an error, never raise.
+MALFORMED = (
+    "",
+    "   ",
+    "bogus",
+    "iface",
+    "iface not-an-address",
+    "link 1",
+    "link a b",
+    "tenants many",
+)
+
+
+def wire(snapshot, line):
+    """The pure wire answer: what ``execute_line`` must return."""
+    return json.dumps(query_snapshot(snapshot, line), sort_keys=True)
+
+
+def spellings(snapshot):
+    """Every memoisable key of ``snapshot``, each with several lines
+    that must parse to it: dotted and integer address, upper-case verb,
+    extra whitespace, reversed AS pair, leading-zero facility id."""
+    for address in snapshot.interfaces:
+        dotted = int_to_ip(address)
+        yield [
+            f"iface {dotted}",
+            f"iface {address}",
+            f"IFACE {dotted}",
+            f"  iface \t {address}  ",
+        ]
+    for low, high in snapshot.links_by_aspair:
+        yield [
+            f"link {low} {high}",
+            f"link {high} {low}",
+            f"LINK {low} {high}",
+            f" link   {high}\t{low} ",
+        ]
+    for facility in snapshot.facility_tenants:
+        yield [
+            f"tenants {facility}",
+            f"tenants 0{facility}",
+            f"Tenants {facility}",
+            f"tenants   00{facility}  ",
+        ]
+    yield ["info", "INFO", "  info  "]
+
+
+def spellings_flat(snapshot, count):
+    """The first ``count`` lines of :func:`spellings` (all for ``None``)."""
+    lines = [line for group in spellings(snapshot) for line in group]
+    return lines[:count]
+
+
+def memo_bound(snapshot):
+    """At most one stored answer per indexed entity, plus ``info``."""
+    return (
+        len(snapshot.interfaces)
+        + len(snapshot.links_by_aspair)
+        + len(snapshot.facility_tenants)
+        + 1
+    )
+
+
+def cold(snapshot):
+    """A copy of ``snapshot`` with an empty answer memo (same content,
+    same fingerprint: the memo is not content)."""
+    copy = dataclasses.replace(snapshot)
+    assert copy == snapshot and len(copy.answers) == 0
+    return copy
 
 
 class TestQueryProtocol:
@@ -61,16 +139,7 @@ class TestQueryProtocol:
         assert "iface <address>" in response["commands"]
 
     def test_errors_never_raise(self, small_snapshot):
-        for line in (
-            "",
-            "   ",
-            "bogus",
-            "iface",
-            "iface not-an-address",
-            "link 1",
-            "link a b",
-            "tenants many",
-        ):
+        for line in MALFORMED:
             response = query_snapshot(small_snapshot, line)
             assert "error" in response
             assert response["fingerprint"] == small_snapshot.fingerprint
@@ -101,7 +170,152 @@ class TestQueryEngine:
         assert list(document) == sorted(document)
 
 
+class TestAnswerMemo:
+    """``execute_line`` serves found lookups from a per-snapshot memo of
+    their wire text; every answer must still equal the pure rendering."""
+
+    def test_every_spelling_equals_the_pure_answer_and_renders_once(
+        self, small_snapshot, small_stream_handle
+    ):
+        versions = [small_snapshot, *small_stream_handle.snapshots]
+        obs = Instrumentation()
+        engine = QueryEngine(obs)
+        asked = 0
+        for version in map(cold, versions):
+            engine.swap(version)
+            keys = 0
+            before = obs.counter("serve.answers.rendered")
+            for lines in spellings(version):
+                keys += 1
+                for line in lines * 2:  # the second round is all hits
+                    assert engine.execute_line(line) == wire(version, line)
+                    asked += 1
+            # Each normalised key rendered exactly once on this version.
+            assert obs.counter("serve.answers.rendered") - before == keys
+            assert len(version.answers) == keys == memo_bound(version)
+        assert obs.counter("serve.queries") == asked
+
+    def test_hits_emit_the_same_query_events(self, small_snapshot):
+        snapshot = cold(small_snapshot)
+        address = next(iter(snapshot.interfaces))
+        lines = ["info", f"iface {address}", f"iface {int_to_ip(address)}"]
+        sink = MemorySink()
+        engine = QueryEngine(Instrumentation(sink))
+        engine.swap(snapshot)
+        for line in lines * 2:
+            engine.execute_line(line)
+        events = [event.payload for event in sink.by_name("serve.query")]
+        expected = []
+        for line in lines * 2:
+            response = query_snapshot(small_snapshot, line)
+            expected.append({
+                "kind": response["query"],
+                "found": response.get("found"),
+                "epoch": small_snapshot.epoch,
+            })
+        assert events == expected
+
+    def test_misses_errors_and_health_are_never_stored(self, small_snapshot):
+        snapshot = cold(small_snapshot)
+        health = ServiceHealth()
+        live = QueryEngine(Instrumentation(), health=health)
+        bare = QueryEngine(Instrumentation())
+        for engine in (live, bare):
+            engine.swap(snapshot)
+        for line in spellings_flat(snapshot, 40):
+            live.execute_line(line)
+        filled = len(snapshot.answers)
+        assert 0 < filled <= memo_bound(snapshot)
+
+        rng = random.Random(23)
+        misses = 0
+        while misses < 10_000:
+            address = rng.randrange(2**32)
+            if address in snapshot.interfaces:
+                continue
+            line = f"iface {int_to_ip(address) if misses % 2 else address}"
+            assert live.execute_line(line) == wire(snapshot, line)
+            misses += 1
+        absent_pair = (10**9, 10**9 + 1)
+        absent_facility = max(snapshot.facility_tenants) + 1
+        facility = next(iter(snapshot.facility_tenants))
+        others = [
+            *MALFORMED,
+            "help",
+            f"link {absent_pair[0]} {absent_pair[1]}",
+            f"tenants {absent_facility}",
+            "tenants -5",
+            "iface 99999999999999",
+            "health",
+            f"health {facility}",
+            "health 1 2",
+            "health sideways",
+        ]
+        for engine in (live, bare):
+            for line in others:
+                engine.execute_line(line)
+        assert len(snapshot.answers) == filled
+
+    def test_memo_dies_with_its_snapshot(self, small_stream_handle):
+        """A long-running service swaps forever: no memo may outlive
+        the last reference to its snapshot."""
+        first, second = small_stream_handle.snapshots[:2]
+        engine = QueryEngine(Instrumentation())
+        snapshot = cold(first)
+        engine.swap(snapshot)
+        for line in spellings_flat(snapshot, 60):
+            engine.execute_line(line)
+        # The snapshot holds its memo strongly, so a dead memo means a
+        # dead snapshot too.
+        memo = weakref.ref(snapshot.answers)
+        assert len(memo()) > 0
+        engine.swap(second)
+        del snapshot
+        gc.collect()
+        assert memo() is None
+
+
 class TestTornMap:
+    @staticmethod
+    def _hammer(engine, snapshots, lines, ask, answers=0):
+        """Four threads ask ``lines`` through ``ask`` while the main
+        thread swaps ``engine`` through every version, at least 200
+        times and until the threads gave ``answers`` answers (30 s at
+        most); returns each thread's (line, answer) pairs."""
+        stop = threading.Event()
+        observed: list[list[tuple[str, object]]] = [[] for _ in range(4)]
+
+        def hammer(slot: int) -> None:
+            i = slot * len(lines) // len(observed)  # spread the threads
+            while not stop.is_set():
+                line = lines[i % len(lines)]
+                observed[slot].append((line, ask(line)))
+                i += 1
+
+        threads = [
+            threading.Thread(target=hammer, args=(slot,)) for slot in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            round_ = 0
+            while round_ < 200 or (
+                sum(map(len, observed)) < answers
+                and time.monotonic() < deadline
+            ):
+                engine.swap(snapshots[round_ % len(snapshots)])
+                round_ += 1
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return observed
+
     def test_swaps_under_concurrent_queries_never_tear(
         self, small_stream_handle
     ):
@@ -110,7 +324,7 @@ class TestTornMap:
         recomputation against the single version it names."""
         snapshots = list(small_stream_handle.snapshots)
         assert len(snapshots) >= 2
-        versions = {snapshot.fingerprint: snapshot for snapshot in snapshots}
+        versions = {(s.epoch, s.fingerprint): s for s in snapshots}
         engine = QueryEngine()
         engine.swap(snapshots[0])
 
@@ -118,38 +332,63 @@ class TestTornMap:
         pair = next(iter(snapshots[-1].links_by_aspair))
         lines = ["info", f"iface {address}", f"link {pair[0]} {pair[1]}"]
 
-        stop = threading.Event()
-        observed: list[list[tuple[str, dict]]] = [[] for _ in range(4)]
-
-        def hammer(slot: int) -> None:
-            i = 0
-            while not stop.is_set():
-                line = lines[i % len(lines)]
-                observed[slot].append((line, engine.execute(line)))
-                i += 1
-
-        threads = [
-            threading.Thread(target=hammer, args=(slot,)) for slot in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for round_ in range(200):
-            engine.swap(snapshots[round_ % len(snapshots)])
-        stop.set()
-        for thread in threads:
-            thread.join()
-
+        observed = self._hammer(engine, snapshots, lines, engine.execute)
         answered = 0
         for slot in observed:
             for line, response in slot:
-                fingerprint = response["fingerprint"]
-                assert fingerprint in versions  # a published version...
+                version = (response["epoch"], response["fingerprint"])
+                assert version in versions  # a published version...
                 # ...and the whole answer came from that one version.
-                assert response == query_snapshot(
-                    versions[fingerprint], line
-                )
+                assert response == query_snapshot(versions[version], line)
                 answered += 1
         assert answered > 0
+
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    def test_wire_answers_never_tear(self, small_stream_handle, memo):
+        """The same hammer over ``execute_line``: a memoised answer must
+        come from, and be stored in, the one version it names."""
+        snapshots = [cold(s) for s in small_stream_handle.snapshots]
+        versions = {(s.epoch, s.fingerprint): s for s in snapshots}
+        # Every key of the newest map, in every spelling, plus a miss:
+        # a cold memo keeps filling while the versions swap.
+        lines = [*spellings_flat(snapshots[-1], None), "iface 1.2.3.4"]
+        engine = QueryEngine()
+        if memo == "warm":
+            for snapshot in snapshots:
+                engine.swap(snapshot)
+                for line in lines:
+                    engine.execute_line(line)
+        engine.swap(snapshots[0])
+
+        observed = self._hammer(
+            engine,
+            snapshots,
+            lines,
+            engine.execute_line,
+            answers=len(lines) * len(snapshots),
+        )
+        answered = 0
+        for slot in observed:
+            for line, text in slot:
+                document = json.loads(text)
+                version = (document["epoch"], document["fingerprint"])
+                assert version in versions
+                assert text == wire(versions[version], line)
+                answered += 1
+        assert answered > 0
+        for snapshot in snapshots:
+            assert len(snapshot.answers) <= memo_bound(snapshot)
+            for line in lines:
+                # Whatever a racing fill stored is this version's text.
+                assert served_from(snapshot, line) == wire(snapshot, line)
+
+
+def served_from(snapshot, line):
+    """What a fresh engine serves for ``line`` from ``snapshot`` as its
+    memo stands (the stored text, if a fill stored one)."""
+    engine = QueryEngine()
+    engine.swap(snapshot)
+    return engine.execute_line(line)
 
 
 class TestAddressBounds:

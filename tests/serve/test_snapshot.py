@@ -9,6 +9,7 @@ import pytest
 
 from repro.checkpoint import config_fingerprint
 from repro.serve import (
+    QueryEngine,
     build_snapshot,
     open_snapshot,
     snapshot_from_payload,
@@ -98,6 +99,22 @@ class TestPayloadCodec:
         assert dict(restored.facility_tenants) == dict(
             small_snapshot.facility_tenants
         )
+
+    def test_answer_memo_is_not_content(self, small_snapshot):
+        """Equality, the fingerprint and the payload ignore rendered
+        answers, and a decoded or derived snapshot starts with none."""
+        warm, cold = (dataclasses.replace(small_snapshot) for _ in range(2))
+        engine = QueryEngine()
+        engine.swap(warm)
+        for address in list(warm.interfaces)[:20]:
+            engine.execute_line(f"iface {address}")
+        engine.execute_line("info")
+        assert len(warm.answers) == 21 and len(cold.answers) == 0
+        assert warm == cold == small_snapshot
+        assert snapshot_payload(warm) == snapshot_payload(cold)
+        restored = snapshot_from_payload(snapshot_payload(warm))
+        assert restored.fingerprint == warm.fingerprint
+        assert len(restored.answers) == 0
 
     def test_tampered_content_rejected(self, small_snapshot):
         payload = json.loads(json.dumps(snapshot_payload(small_snapshot)))
