@@ -26,14 +26,19 @@ Unknown commands and malformed arguments answer ``{"error": ...}`` —
 the daemon never dies on a bad query line.
 
 Every spelling of a line parses once, to one normalised query (see
-``_parse``).  On the wire path a found lookup is rendered once per
-snapshot and its text served from that snapshot's answer memo after.
+``_parse``), and each memoisable query has one canonical line — the
+spelling its answer prints, ``iface <dotted>``, ``link <low> <high>``,
+``tenants <id>`` or ``info``.  On the wire path a found lookup is
+rendered once per snapshot and stored in that snapshot's answer memo
+under its canonical line, so a canonical ask is one dict probe and any
+other spelling one parse and a probe.  A not-found lookup is filled
+from a per-snapshot template instead of rendered.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from ..obs import Instrumentation
 from ..sanitize import mutation_point
@@ -68,6 +73,34 @@ _MEMOISED: dict[str, bool | None] = {
     "tenants": True,
     "info": None,
 }
+
+
+class _Lookup(NamedTuple):
+    """How a lookup verb's not-found answer is filled from its template."""
+
+    #: The :class:`MapSnapshot` mapping the verb probes.
+    index: str
+    #: The answer field that echoes the verb's argument.
+    field: str
+    #: That field's JSON text for a parsed argument.
+    argument: Callable[[Any], str]
+
+    def finds(self, snapshot: MapSnapshot, key: Any) -> bool:
+        """Whether ``snapshot`` answers this verb's ``key`` as found."""
+        return bool(getattr(snapshot, self.index).get(key))
+
+
+_LOOKUPS = {
+    "iface": _Lookup(
+        "interfaces", "address", lambda address: f'"{int_to_ip(address)}"'
+    ),
+    "link": _Lookup("links_by_aspair", "as_pair", "[%d, %d]".__mod__),
+    "tenants": _Lookup("facility_tenants", "facility", "%d".__mod__),
+}
+
+#: Stands in for a template's argument; JSON spells it ``"\u0000"``,
+#: which no other field of a not-found answer can contain.
+_SENTINEL = "\0"
 
 
 def _parse_address(token: str) -> int:
@@ -157,6 +190,22 @@ def _parse(line: str) -> tuple[Any, ...]:
     return ("error", f"unknown command {command!r}; try 'help'")
 
 
+def _canonical(query: tuple[Any, ...]) -> str:
+    """The canonical line of a memoisable query, its answer memo key.
+
+    It is the spelling the answer itself prints, and it parses back to
+    ``query``.
+    """
+    kind = query[0]
+    if kind == "iface":
+        return "iface " + int_to_ip(query[1])
+    if kind == "link":
+        return "link %d %d" % query[1]
+    if kind == "tenants":
+        return "tenants %d" % query[1]
+    return "info"
+
+
 def _answer(snapshot: MapSnapshot, query: tuple[Any, ...]) -> dict[str, Any]:
     """The response document for one parsed query against ``snapshot``."""
     version = {"epoch": snapshot.epoch, "fingerprint": snapshot.fingerprint}
@@ -234,6 +283,21 @@ def _answer(snapshot: MapSnapshot, query: tuple[Any, ...]) -> dict[str, Any]:
         "(query through the service's engine)",
         **version,
     }
+
+
+def _template(
+    snapshot: MapSnapshot, query: tuple[Any, ...]
+) -> tuple[str, str]:
+    """The wire text of a not-found lookup, split around its argument.
+
+    ``query`` must be a lookup ``snapshot`` does not find; every other
+    not-found answer of its verb on ``snapshot`` differs only there.
+    """
+    document = _answer(snapshot, query)
+    document[_LOOKUPS[query[0]].field] = _SENTINEL
+    text = json.dumps(document, sort_keys=True)
+    head, tail = text.split(json.dumps(_SENTINEL))
+    return head, tail
 
 
 def query_snapshot(snapshot: MapSnapshot, line: str) -> dict[str, Any]:
@@ -356,37 +420,52 @@ class QueryEngine:
         )
         return response
 
+    def _served(self, kind: str, found: bool | None, epoch: int) -> None:
+        """Account one query answered from ``epoch``'s snapshot."""
+        self._obs.count("serve.queries")
+        self._obs.emit("serve.query", kind=kind, found=found, epoch=epoch)
+
     def execute_line(self, line: str) -> str:
         """One-line JSON rendering of :meth:`execute` (the wire format).
 
-        A found lookup or ``info`` is rendered once per snapshot and
-        stored in that snapshot's :class:`~repro.serve.snapshot.AnswerMemo`
-        under its normalised query; later asks, in any spelling, return
-        the stored text.  Misses, errors and ``health`` are rendered
-        every time: a miss's key space has no bound, and ``health`` is
-        live service state.  The snapshot is captured once, so an answer
-        is only ever stored in the memo of the version that rendered it.
+        The raw line is first looked up in the captured snapshot's
+        :class:`~repro.serve.snapshot.AnswerMemo`, so a canonical line
+        asked before is answered by one dict probe, without a parse.
+        Any other line parses once.  A found lookup or ``info`` is then
+        rendered once per snapshot and stored under its canonical line
+        (see :func:`_canonical`), where every spelling finds it.  A
+        not-found lookup is filled from its verb's per-snapshot
+        template and never stored, because a miss's key space has no
+        bound.  Errors and ``health`` are rendered every time; ``health``
+        is live service state.  The snapshot is captured once, so an
+        answer or template is only ever stored in the memo of the
+        version that rendered it.
         """
         snapshot = self._snapshot  # the one capture; never re-read below
-        query = _parse(line)
         if snapshot is not None:
-            text = snapshot.answers.get(query)
+            text = snapshot.answers.get(line)
             if text is not None:
-                self._obs.count("serve.queries")
-                self._obs.emit(
-                    "serve.query",
-                    kind=query[0],
-                    found=_MEMOISED[query[0]],
-                    epoch=snapshot.epoch,
-                )
+                kind = line.partition(" ")[0]
+                self._served(kind, _MEMOISED[kind], snapshot.epoch)
                 return text
-        response = self._respond(snapshot, query)
-        text = json.dumps(response, sort_keys=True)
-        if (
-            snapshot is not None
-            and query[0] in _MEMOISED
-            and response.get("found") is _MEMOISED[query[0]]
-        ):
-            snapshot.answers.store(query, text)
+        query = _parse(line)
+        kind = query[0]
+        if snapshot is None or kind not in _MEMOISED:
+            return json.dumps(self._respond(snapshot, query), sort_keys=True)
+        memo = snapshot.answers
+        lookup = _LOOKUPS.get(kind)
+        if lookup is not None and not lookup.finds(snapshot, query[1]):
+            template = memo.template(kind)
+            if template is None:
+                template = _template(snapshot, query)
+                memo.store_template(kind, *template)
+            self._served(kind, False, snapshot.epoch)
+            return template[0] + lookup.argument(query[1]) + template[1]
+        key = _canonical(query)
+        text = memo.get(key)
+        if text is None:
+            text = json.dumps(_answer(snapshot, query), sort_keys=True)
+            memo.store(key, text)
             self._obs.count("serve.answers.rendered")
+        self._served(kind, _MEMOISED[kind], snapshot.epoch)
         return text

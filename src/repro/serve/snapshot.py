@@ -25,10 +25,11 @@ full payload (fingerprint *plus* epoch metadata) is the publication
 **watermark**.
 
 Each snapshot also carries an :class:`AnswerMemo`: the wire text of the
-answers the query engine has already rendered from it.  The memo is
-derived text, not content — it is filled lazily on the read path, is
-excluded from equality, the fingerprint and the payload codec, and
-lives and dies with its snapshot.
+answers the query engine has already rendered from it, and the
+templates its not-found answers are filled from.  The memo is derived
+text, not content — it is filled lazily on the read path, is excluded
+from equality, the fingerprint and the payload codec, and lives and
+dies with its snapshot.
 """
 
 from __future__ import annotations
@@ -99,31 +100,47 @@ class LinkEntry:
 class AnswerMemo:
     """Wire text of the answers already rendered from one snapshot.
 
-    Keyed by the normalised query (see :mod:`repro.serve.query`); holds
-    at most one entry per indexed entity plus ``info``, because only
-    found lookups are stored.  :meth:`store` is the one write site.  Two
-    threads that miss on the same key both render it and store the same
-    text, so the race costs a render, never a wrong answer.
+    Keyed by the canonical line of the normalised query (``iface
+    <dotted>``, ``link <low> <high>``, ``tenants <id>``, ``info``; see
+    :mod:`repro.serve.query`); holds at most one entry per indexed
+    entity plus ``info``, because only found lookups are stored, and
+    ``len`` counts those entries.  Beside them it keeps one template per
+    lookup verb: the not-found answer split around the field that echoes
+    the query's argument.  :meth:`store` and :meth:`store_template` are
+    the write sites.  Two threads that miss on the same key both render
+    it and store the same text, so the race costs a render, never a
+    wrong answer.
     """
 
     # __weakref__ lets a test prove the memo dies with its snapshot.
-    __slots__ = ("_texts", "_write_depth", "__weakref__")
+    __slots__ = ("_texts", "_templates", "_write_depth", "__weakref__")
 
     def __init__(self) -> None:
-        self._texts: dict[tuple[Any, ...], str] = {}
+        self._texts: dict[str, str] = {}
+        self._templates: dict[str, tuple[str, str]] = {}
         self._write_depth = 0
 
     def __len__(self) -> int:
         return len(self._texts)
 
-    def get(self, key: tuple[Any, ...]) -> str | None:
+    def get(self, key: str) -> str | None:
         """The stored text for ``key``, or ``None`` before its first ask."""
         return self._texts.get(key)
 
     @mutation_point
-    def store(self, key: tuple[Any, ...], text: str) -> None:
+    def store(self, key: str, text: str) -> None:
         """Record the rendered answer to ``key``."""
         self._texts[key] = text
+
+    def template(self, verb: str) -> tuple[str, str] | None:
+        """``verb``'s not-found template, or ``None`` before its first miss."""
+        return self._templates.get(verb)
+
+    @mutation_point
+    def store_template(self, verb: str, head: str, tail: str) -> None:
+        """Record ``verb``'s not-found answer as the text around its
+        argument's JSON."""
+        self._templates[verb] = (head, tail)
 
 
 @dataclass(frozen=True, slots=True)

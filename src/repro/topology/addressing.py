@@ -34,6 +34,10 @@ __all__ = [
 
 MAX_IPV4 = (1 << 32) - 1
 
+#: The 256 canonical octet spellings (``"0"`` … ``"255"``, no leading
+#: zeros), for :func:`ip_to_int`'s fast path.
+_OCTETS = {str(octet): octet for octet in range(256)}
+
 V = TypeVar("V")
 
 
@@ -46,6 +50,13 @@ def ip_to_int(dotted: str) -> int:
     parts = dotted.split(".")
     if len(parts) != 4:
         raise ValueError(f"not a dotted quad: {dotted!r}")
+    try:
+        a, b, c, d = parts
+        return (
+            _OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d]
+        )
+    except KeyError:
+        pass  # not four canonical octets: the checked loop decides
     value = 0
     for part in parts:
         if not part.isdigit() or (len(part) > 1 and part[0] == "0"):
@@ -61,8 +72,8 @@ def int_to_ip(value: int) -> str:
     """Format an integer as a dotted-quad IPv4 address."""
     if not 0 <= value <= MAX_IPV4:
         raise ValueError(f"not a 32-bit value: {value}")
-    return ".".join(
-        str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0)
+    return "%d.%d.%d.%d" % (
+        value >> 24, value >> 16 & 0xFF, value >> 8 & 0xFF, value & 0xFF
     )
 
 

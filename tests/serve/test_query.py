@@ -20,7 +20,8 @@ import pytest
 
 from repro.obs import Instrumentation, MemorySink
 from repro.serve import QueryEngine, ServiceHealth, query_snapshot
-from repro.topology.addressing import int_to_ip
+from repro.serve.query import _canonical, _parse
+from repro.topology.addressing import MAX_IPV4, int_to_ip
 
 #: Lines that must answer an error, never raise.
 MALFORMED = (
@@ -73,6 +74,49 @@ def spellings_flat(snapshot, count):
     """The first ``count`` lines of :func:`spellings` (all for ``None``)."""
     lines = [line for group in spellings(snapshot) for line in group]
     return lines[:count]
+
+
+def memoised_queries(snapshot):
+    """Every normalised query whose answer ``snapshot`` stores."""
+    yield from (("iface", address) for address in snapshot.interfaces)
+    yield from (("link", pair) for pair in snapshot.links_by_aspair)
+    yield from (
+        ("tenants", facility) for facility in snapshot.facility_tenants
+    )
+    yield ("info",)
+
+
+def absent_lines(snapshot, count, seed):
+    """``count`` lines each of absent addresses, AS pairs and facility
+    ids on ``snapshot``, in assorted spellings: dotted and integer
+    addresses, both AS orders, pairs of the map's own ASNs, negative
+    and oversized ids."""
+    rng = random.Random(f"absent:{seed}:{snapshot.fingerprint}")
+    asns = sorted({asn for pair in snapshot.links_by_aspair for asn in pair})
+    lines = []
+    while len(lines) < count:
+        address = rng.randrange(MAX_IPV4 + 1)
+        if address not in snapshot.interfaces:
+            spelling = int_to_ip(address) if len(lines) % 3 else address
+            lines.append(f"iface {spelling}")
+    pairs = 0
+    while pairs < count:
+        if pairs % 2:
+            near, far = rng.choice(asns), rng.choice(asns)
+        else:
+            near, far = (rng.randrange(-(2**40), 2**40) for _ in range(2))
+        if (min(near, far), max(near, far)) not in snapshot.links_by_aspair:
+            lines.append(f"link {near} {far}")
+            pairs += 1
+    facilities = 0
+    while facilities < count:
+        facility = rng.choice(
+            (rng.randrange(1000), rng.randrange(MAX_IPV4 + 1))
+        )
+        if facility not in snapshot.facility_tenants:
+            lines.append(f"tenants {facility}")
+            facilities += 1
+    return lines
 
 
 def memo_bound(snapshot):
@@ -196,9 +240,16 @@ class TestAnswerMemo:
         assert obs.counter("serve.queries") == asked
 
     def test_hits_emit_the_same_query_events(self, small_snapshot):
+        """Memo hits and template fills emit the kind, found flag and
+        epoch of the pure answer."""
         snapshot = cold(small_snapshot)
         address = next(iter(snapshot.interfaces))
-        lines = ["info", f"iface {address}", f"iface {int_to_ip(address)}"]
+        lines = [
+            "info",
+            f"iface {address}",
+            f"iface {int_to_ip(address)}",
+            *absent_lines(snapshot, 2, 0),
+        ]
         sink = MemorySink()
         engine = QueryEngine(Instrumentation(sink))
         engine.swap(snapshot)
@@ -214,6 +265,62 @@ class TestAnswerMemo:
                 "epoch": small_snapshot.epoch,
             })
         assert events == expected
+
+    def test_canonical_lines_parse_back_to_their_query(
+        self, small_snapshot, small_stream_handle
+    ):
+        for version in (small_snapshot, *small_stream_handle.snapshots):
+            for normalised in memoised_queries(version):
+                assert _parse(_canonical(normalised)) == normalised
+
+    def test_canonical_repeat_is_never_parsed(
+        self, small_snapshot, monkeypatch
+    ):
+        snapshot = cold(small_snapshot)
+        address = next(iter(snapshot.interfaces))
+        pair = next(iter(snapshot.links_by_aspair))
+        facility = next(iter(snapshot.facility_tenants))
+        canonical = [
+            f"iface {int_to_ip(address)}",
+            f"link {pair[0]} {pair[1]}",
+            f"tenants {facility}",
+            "info",
+        ]
+        other = f"IFACE {address}"
+        expected = {line: wire(snapshot, line) for line in [*canonical, other]}
+        parsed = []
+
+        def counting_parse(line):
+            parsed.append(line)
+            return _parse(line)
+
+        monkeypatch.setattr("repro.serve.query._parse", counting_parse)
+        engine = QueryEngine(Instrumentation())
+        engine.swap(snapshot)
+        for line in canonical:
+            assert engine.execute_line(line) == expected[line]
+            assert parsed == [line]
+            assert engine.execute_line(line) == expected[line]
+            assert parsed == [line]  # the repeat was one memo probe
+            parsed.clear()
+        # Another spelling parses once, then hits the stored answer.
+        assert engine.execute_line(other) == expected[other]
+        assert parsed == [other]
+
+    def test_template_fills_equal_the_pure_answer(
+        self, small_snapshot, small_stream_handle
+    ):
+        """Not-found lookups are filled from per-snapshot templates:
+        10,000 absent keys of each verb per version, every one byte
+        for byte the pure rendering, and none stored."""
+        engine = QueryEngine(Instrumentation())
+        for seed, version in enumerate(
+            map(cold, (small_snapshot, *small_stream_handle.snapshots))
+        ):
+            engine.swap(version)
+            for line in absent_lines(version, 10_000, seed):
+                assert engine.execute_line(line) == wire(version, line)
+            assert len(version.answers) == 0
 
     def test_misses_errors_and_health_are_never_stored(self, small_snapshot):
         snapshot = cold(small_snapshot)
@@ -349,9 +456,14 @@ class TestTornMap:
         come from, and be stored in, the one version it names."""
         snapshots = [cold(s) for s in small_stream_handle.snapshots]
         versions = {(s.epoch, s.fingerprint): s for s in snapshots}
-        # Every key of the newest map, in every spelling, plus a miss:
-        # a cold memo keeps filling while the versions swap.
-        lines = [*spellings_flat(snapshots[-1], None), "iface 1.2.3.4"]
+        # Every key of the newest map, in every spelling, plus absent
+        # keys of each verb: a cold memo keeps filling, and templates
+        # keep being built, while the versions swap.
+        lines = [
+            *spellings_flat(snapshots[-1], None),
+            "iface 1.2.3.4",
+            *absent_lines(snapshots[-1], 20, 0),
+        ]
         engine = QueryEngine()
         if memo == "warm":
             for snapshot in snapshots:
