@@ -50,6 +50,10 @@ print("sanitizer: clean (0 violations)")
 EOF
 
     echo
+    echo "== read-path tests, sanitizer armed =="
+    REPRO_SANITIZE=1 python -m pytest -q tests/serve/test_snapshot.py tests/serve/test_query.py
+
+    echo
     echo "== outage-detection smoke (seeded churn profile, small scale) =="
     python - <<'EOF'
 import sys

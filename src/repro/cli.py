@@ -765,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-pool width for the campaign and trace extraction "
+        help="process-pool width for the initial campaign "
         "(default: 1 = serial; output is byte-identical at any width)",
     )
     parser.add_argument(

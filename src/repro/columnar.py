@@ -150,44 +150,45 @@ class TraceArrays:
     # Rebuild codec (arrays -> dataclasses)
     # ------------------------------------------------------------------
 
-    def rebuild(self, index: int, trace_factory, hop_factory):
-        """Reconstruct trace ``index`` through the given dataclass
-        factories (kept injectable so this module imports nothing from
-        the measurement layer).
-
-        Every field round-trips exactly; the property test in
-        ``tests/core/test_columnar.py`` holds flatten → rebuild to
-        field-for-field equality.
-        """
-        start, stop = self.trace_offsets[index], self.trace_offsets[index + 1]
-        hops = []
-        for flat in range(start, stop):
-            address = self.hop_address[flat]
-            rtt = self.hop_rtt[flat]
-            router = self.hop_router[flat]
-            hops.append(
-                hop_factory(
-                    ttl=self.hop_ttl[flat],
-                    address=None if address == NO_ADDRESS else address,
-                    # NaN is the None sentinel; a real sample equals itself.
-                    rtt_ms=rtt if rtt == rtt else None,
-                    router_id=None if router == NO_ROUTER else router,
-                )
-            )
-        return trace_factory(
-            source_id=self.source_id[index],
-            platform=self.platform[index],
-            src_asn=self.src_asn[index],
-            dst_address=self.dst_address[index],
-            hops=tuple(hops),
-            reached=bool(self.reached[index]),
-        )
-
     def rebuild_all(self, trace_factory, hop_factory) -> list:
-        """Reconstruct every flattened trace, in flatten order."""
+        """Reconstruct every flattened trace, in flatten order, through
+        the given dataclass factories (kept injectable so this module
+        imports nothing from the measurement layer).
+
+        One pass: every hop is built by a single comprehension over the
+        four hop columns, then each trace takes its hop slice by
+        ``trace_offsets``.  Factories are called positionally, as
+        ``hop_factory(ttl, address, rtt_ms, router_id)`` and
+        ``trace_factory(source_id, platform, src_asn, dst_address, hops,
+        reached)``.  Every field round-trips exactly: the property
+        tests in ``tests/core/test_columnar.py`` hold flatten → rebuild
+        to field-for-field equality, and
+        ``tests/core/test_columnar_reference.py`` holds this pass to the
+        per-trace reference loop.
+        """
+        hops = tuple([
+            hop_factory(
+                ttl,
+                None if address == NO_ADDRESS else address,
+                # NaN is the None sentinel; a real sample equals itself.
+                rtt if rtt == rtt else None,
+                None if router == NO_ROUTER else router,
+            )
+            for ttl, address, rtt, router in zip(
+                self.hop_ttl, self.hop_address, self.hop_rtt, self.hop_router
+            )
+        ])
+        offsets = self.trace_offsets
         return [
-            self.rebuild(index, trace_factory, hop_factory)
-            for index in range(len(self))
+            trace_factory(
+                source_id, platform, src_asn, dst_address,
+                hops[start:stop], bool(reached),
+            )
+            for source_id, platform, src_asn, dst_address, reached, start, stop
+            in zip(
+                self.source_id, self.platform, self.src_asn,
+                self.dst_address, self.reached, offsets, offsets[1:],
+            )
         ]
 
     # ------------------------------------------------------------------

@@ -48,16 +48,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _dataclass_replace
 
 from ..alias.midar import AliasSets, MidarResolver, repair_ip_to_asn
-from ..exec import (
-    ExecFaultSpec,
-    SupervisorConfig,
-    instrument_observer,
-    plan_blocks,
-    supervised_map,
-)
+# CFS never forks; the name stays bound because the per-layer tracer in
+# benchmarks/e2e/tracing.py patches ``repro.core.cfs.supervised_map``.
+from ..exec import supervised_map
 from ..measurement.campaign import CampaignDriver, TraceCorpus
 from ..measurement.platforms import MeasurementPlatform
-from ..obs import Instrumentation, MetricsSnapshot
+from ..obs import Instrumentation
 from .alias_constraints import propagate_alias_constraints
 from .classify import PeeringClassifier
 from .constrain import InitialFacilitySearch
@@ -79,15 +75,6 @@ __all__ = ["CfsConfig", "ConstrainedFacilitySearch", "FOLLOWUP_STRATEGIES"]
 
 #: Valid values of :attr:`CfsConfig.followup_strategy`.
 FOLLOWUP_STRATEGIES = ("smallest-overlap", "random")
-
-#: Minimum traces in one extraction batch before forking pays off —
-#: below this the pool's fork/pickle overhead dwarfs the work.
-PARALLEL_EXTRACT_MIN = 64
-
-#: Minimum traces per extraction block: a fork that classifies fewer
-#: than this spends more on submit/IPC than on work, so block planning
-#: coarsens small batches into fewer, fatter shards.
-EXTRACT_BLOCK_MIN = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,9 +157,6 @@ class ConstrainedFacilitySearch:
         remote_detector: RemotePeeringDetector | None = None,
         config: CfsConfig | None = None,
         instrumentation: Instrumentation | None = None,
-        workers: int = 1,
-        supervision: SupervisorConfig | None = None,
-        exec_faults: ExecFaultSpec | None = None,
     ) -> None:
         """Args:
             facility_db: the assembled Section-3.1 knowledge base.
@@ -187,17 +171,8 @@ class ConstrainedFacilitySearch:
             config: loop knobs.
             instrumentation: counters/timers/event sink for the run; a
                 fresh silent instance when omitted.
-            workers: process-pool width for Step-2 trace extraction
-                (1 = serial; output is byte-identical either way).
-            supervision: executor supervision policy (deadline, retry
-                and quarantine bounds); defaults apply when ``None``.
-            exec_faults: seeded executor-fault intensities (chaos);
-                ``None`` injects nothing.
         """
         self._db = facility_db
-        self.workers = workers
-        self.supervision = supervision
-        self.exec_faults = exec_faults
         self._ip_to_asn = ip_to_asn
         self._midar = alias_resolver
         self._driver = driver
@@ -488,54 +463,19 @@ class ConstrainedFacilitySearch:
     def _extract_many(
         self, corpus: TraceCorpus, indices
     ) -> list[dict[tuple, ObservedPeering] | None]:
-        """Extract many traces by index, on the pool when it pays off.
+        """Extract many traces by index, in process.
 
         Each trace's crossings form an isolated (cacheable) record
         batch; ``None`` stands for "no crossings" so the cache holds no
         empty dicts (most traces cross no peering).
-
-        Extraction is pure per trace, so the corpus splits into
-        contiguous blocks (:func:`repro.exec.plan_blocks`, coarsened to
-        at least :data:`EXTRACT_BLOCK_MIN` traces each so every fork
-        amortises its IPC cost) and the block results concatenate back
-        into index order — byte-identical to the serial loop.  Each
-        worker classifies against a private :class:`Instrumentation`;
-        the parent absorbs the snapshots in block order, so counter
-        totals match the serial path exactly.
         """
-        indices = list(indices)
         traces = corpus.traces
         mapping = self._mapping
-        if (
-            self.workers <= 1
-            or len(indices) < max(2, PARALLEL_EXTRACT_MIN)
-        ):
-            extract = self._classifier.extract
-            return [
-                extract([traces[index]], mapping, into={}) or None
-                for index in indices
-            ]
-        blocks = plan_blocks(
-            len(indices), self.workers, min_size=EXTRACT_BLOCK_MIN
-        )
-        payloads = [tuple(indices[start:stop]) for start, stop in blocks]
-        self._obs.count("exec.extract.blocks", len(payloads))
-        outputs = supervised_map(
-            _extract_block,
-            payloads,
-            workers=self.workers,
-            context=(self._db, traces, mapping),
-            config=self.supervision,
-            faults=self.exec_faults,
-            fallback=lambda reason: self._obs.count(f"exec.fallback.{reason}"),
-            observer=instrument_observer(self._obs),
-            describe=lambda block: f"extract block of {len(block)} traces",
-        )
-        results: list[dict[tuple, ObservedPeering] | None] = []
-        for records, snapshot in outputs:
-            results.extend(records)
-            self._obs.absorb(snapshot)
-        return results
+        extract = self._classifier.extract
+        return [
+            extract([traces[index]], mapping, into={}) or None
+            for index in indices
+        ]
 
     def _reparse_moved(
         self,
@@ -675,23 +615,3 @@ class ConstrainedFacilitySearch:
             traces_parsed=traces_parsed,
         )
 
-
-def _extract_block(
-    context: tuple, indices: tuple[int, ...]
-) -> tuple[list[dict[tuple, ObservedPeering] | None], MetricsSnapshot]:
-    """Extract one trace block (:func:`repro.exec.parallel_map` worker).
-
-    ``context`` is ``(facility_db, traces, mapping)``, fork-inherited.
-    The worker classifies with a private classifier over a private
-    :class:`Instrumentation`, so nothing parent-owned is mutated — the
-    in-process serial fallback and the forked pool behave identically —
-    and the returned snapshot carries the block's counter contribution.
-    """
-    facility_db, traces, mapping = context
-    obs = Instrumentation()
-    classifier = PeeringClassifier(facility_db, instrumentation=obs)
-    records = [
-        classifier.extract([traces[index]], mapping, into={}) or None
-        for index in indices
-    ]
-    return records, obs.snapshot()

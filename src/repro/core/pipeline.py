@@ -69,8 +69,8 @@ class PipelineConfig:
     #: plan installs the injector but perturbs nothing (byte-identical
     #: output to ``None`` — the chaos smoke test pins this down).
     faults: FaultPlan | None = None
-    #: Process-pool width for the initial campaign and Step-2 trace
-    #: extraction (1 = serial).  Output is byte-identical at any width;
+    #: Process-pool width for the initial campaign (1 = serial); CFS
+    #: always runs in process.  Output is byte-identical at any width;
     #: see ``repro/exec`` and DESIGN.md §5f for the determinism argument.
     workers: int = 1
     #: Supervisor progress deadline per shard, in seconds (``None``
@@ -148,8 +148,9 @@ class PipelineConfig:
         widths cranked until the initial campaign plans more than a
         million traceroutes (1,064,240 at seed 0), sized for measuring
         the workers-vs-serial speedup curve where the per-fork overhead
-        is smallest relative to the work; whether forking wins at this
-        scale has not been measured.
+        is smallest relative to the work.  Only the campaign runs on
+        the pool (CFS stays in process, DESIGN.md §5f); whether forking
+        wins at this scale has not been measured.
         """
         return cls(
             topology=TopologyConfig.xlarge(seed=seed + 1),
@@ -360,9 +361,6 @@ class Environment:
             remote_detector=self.remote_detector(),
             config=cfs_config or self.config.cfs,
             instrumentation=obs,
-            workers=self.config.workers,
-            supervision=self.supervision(),
-            exec_faults=self.exec_fault_spec(),
         )
         platforms = self.platform_list(platform_filter)
         return search.run(corpus, platforms=platforms)

@@ -46,7 +46,7 @@ class SeedProvenance(Rule):
     title = "RNG draws derive from substream or an explicit seed"
 
     #: Fork entry points whose ``context`` payload must not carry RNGs.
-    FORK_ENTRY_POINTS = frozenset({"parallel_map", "supervised_map"})
+    FORK_ENTRY_POINTS = frozenset({"supervised_map"})
 
     _GLOBAL_STREAM = (
         "uses the process-global random stream; draw from a seeded "

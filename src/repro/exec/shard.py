@@ -26,7 +26,7 @@ from typing import Callable, Sequence, TypeVar
 
 from ..sanitize import tag_rng
 
-__all__ = ["Shard", "plan_shards", "plan_blocks", "stable_key", "substream"]
+__all__ = ["Shard", "plan_shards", "stable_key", "substream"]
 
 T = TypeVar("T")
 
@@ -101,33 +101,3 @@ def plan_shards(
         )
     return planned
 
-
-def plan_blocks(
-    total: int, shards: int, min_size: int = 1
-) -> list[tuple[int, int]]:
-    """Split ``range(total)`` into at most ``shards`` contiguous blocks.
-
-    Block sizes differ by at most one and every index is covered
-    exactly once, so merging block results in block order reproduces
-    the serial iteration order.  Empty blocks are dropped.
-
-    ``min_size`` coarsens the split: no block is planned smaller than
-    it (except the single block of an undersized total), so callers can
-    keep fork/IPC overhead amortised over batches instead of paying a
-    submission round-trip per sliver of work.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be at least 1, got {shards}")
-    if min_size < 1:
-        raise ValueError(f"min_size must be at least 1, got {min_size}")
-    if total <= 0:
-        return []
-    count = min(shards, total, max(1, total // min_size))
-    base, extra = divmod(total, count)
-    blocks: list[tuple[int, int]] = []
-    start = 0
-    for index in range(count):
-        stop = start + base + (1 if index < extra else 0)
-        blocks.append((start, stop))
-        start = stop
-    return blocks

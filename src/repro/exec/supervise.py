@@ -1,10 +1,17 @@
 """Supervised parallel execution: deadlines, retries, quarantine.
 
-:func:`repro.exec.pool.parallel_map` assumes a well-behaved pool — a
-worker that dies mid-shard (``BrokenProcessPool``) or hangs forever
-aborts the whole map.  :func:`supervised_map` wraps the same fork-based
-pool in a supervisor that keeps the campaign alive through exactly
-those failures:
+:func:`supervised_map` is the repository's one fork map: it applies a
+module-level function to every payload on a fork-based process pool
+and returns the results in submission order, so the output equals the
+serial ``[fn(context, p) for p in payloads]``.  The context (engines,
+topologies, plans) is inherited by fork, copy-on-write, and never
+pickled; only payloads and results cross the pickle boundary.  When
+parallelism is pointless or impossible the map runs serially in the
+parent and names the reason through ``fallback``.
+
+A bare pool aborts the whole map when a worker dies mid-shard
+(``BrokenProcessPool``) or hangs forever; the supervisor keeps the
+campaign alive through exactly those failures:
 
 * a **progress deadline** (:attr:`SupervisorConfig.shard_timeout_s`)
   bounds how long the supervisor waits between shard completions; when
@@ -74,8 +81,9 @@ R = TypeVar("R")
 #: strace output when debugging the supervisor itself).
 CRASH_EXIT_CODE = 113
 
-#: Fork-inherited context for supervised workers (same copy-on-write
-#: discipline as :data:`repro.exec.pool._WORKER_CONTEXT`).
+#: Fork-inherited worker context.  The parent sets it immediately
+#: before creating the pool; forked children see the same object via
+#: copy-on-write, so it is never pickled.
 _SUPERVISED_CONTEXT: Any = None
 
 #: Sentinel for "this slot has no result yet".
@@ -257,13 +265,21 @@ def supervised_map(
 ) -> list[R]:
     """Apply ``fn(context, payload)`` to every payload, surviving the pool.
 
-    The robust superset of :func:`repro.exec.pool.parallel_map`: same
-    ordered byte-identical merge contract, same serial fallbacks and
-    ``fallback(reason)`` vocabulary (``"too_few_payloads"``,
-    ``"no_fork"``, ``"pool_unavailable"``), plus supervision — dead
-    workers and hung shards are retried on a rebuilt pool and
-    persistently-failing shards are quarantined to serial in-process
-    execution (see the module docstring for the full policy).
+    With ``workers > 1`` the payloads run on a fork-based pool (``fn``
+    must be a module-level function; ``context`` is inherited by fork
+    and must not be mutated concurrently by the parent).  Results come
+    back in submission order, byte-for-byte the serial
+    ``[fn(context, p) for p in payloads]`` whenever ``fn`` is
+    deterministic in (context, payload).
+
+    Serial execution is used — and ``fallback(reason)`` called with a
+    reason from :data:`repro.exec.pool.FALLBACK_REASONS` — when
+    parallelism is pointless (``workers <= 1`` runs serial silently;
+    fewer than two payloads: ``"too_few_payloads"``) or impossible
+    (``"no_fork"``, ``"pool_unavailable"``).  Dead workers and hung
+    shards are retried on a rebuilt pool and persistently-failing
+    shards are quarantined to serial in-process execution (see the
+    module docstring for the full policy).
 
     ``observer(kind, index, reason)`` is called on every supervision
     incident with ``kind`` in ``{"retry", "quarantine", "rebuild"}``;

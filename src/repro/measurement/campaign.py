@@ -610,7 +610,7 @@ def _run_campaign_shard(
     context: tuple[CampaignDriver, list[ProbeTask]],
     indices: tuple[int, ...],
 ) -> dict:
-    """Execute one campaign shard (:func:`repro.exec.parallel_map` worker).
+    """Execute one campaign shard (:func:`repro.exec.supervised_map` worker).
 
     ``context`` is ``(driver, plan)``, fork-inherited; the payload is
     just the shard's plan positions.  The worker captures accounting

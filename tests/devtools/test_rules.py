@@ -657,7 +657,7 @@ def test_r007_ignores_relative_and_unrelated_imports(tmp_path):
         """
         import json
         from . import helpers
-        from .exec import parallel_map
+        from .exec import supervised_map
         """,
         rel="core/pipeline.py",
     )

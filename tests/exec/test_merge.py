@@ -11,7 +11,7 @@ COUNTER_NAMES = (
     "campaign.probe_sent",
     "campaign.probe_failed",
     "cfs.traces_parsed",
-    "exec.extract.blocks",
+    "exec.campaign.shards",
 )
 STAGE_NAMES = ("campaign", "extract", "search")
 

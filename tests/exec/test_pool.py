@@ -1,10 +1,14 @@
-"""Behavioural tests for ``parallel_map``: ordering and fallbacks."""
+"""The one fork map, ``supervised_map``: ordering, context and fallbacks.
+
+Crash, hang and retry handling live in ``test_supervise.py``; these
+tests pin the plain map contract every caller relies on.
+"""
 
 from __future__ import annotations
 
 import os
 
-from repro.exec import fork_available, parallel_map
+from repro.exec import fork_available, supervised_map
 
 
 def _affine(context, payload):
@@ -19,7 +23,7 @@ def _tag_with_pid(context, payload):
 class TestSerialPaths:
     def test_workers_one_runs_serial_without_fallback(self):
         reasons = []
-        result = parallel_map(
+        result = supervised_map(
             _affine,
             [1, 2, 3],
             workers=1,
@@ -31,7 +35,7 @@ class TestSerialPaths:
 
     def test_too_few_payloads_reports_fallback(self):
         reasons = []
-        result = parallel_map(
+        result = supervised_map(
             _affine,
             [7],
             workers=4,
@@ -42,7 +46,7 @@ class TestSerialPaths:
         assert reasons == ["too_few_payloads"]
 
     def test_empty_payloads(self):
-        assert parallel_map(_affine, [], workers=4, context={}) == []
+        assert supervised_map(_affine, [], workers=4, context={}) == []
 
 
 class TestForkPath:
@@ -50,7 +54,7 @@ class TestForkPath:
         if not fork_available():  # pragma: no cover - linux containers fork
             return
         payloads = list(range(8))
-        parallel = parallel_map(
+        parallel = supervised_map(
             _affine,
             payloads,
             workers=2,
@@ -62,7 +66,7 @@ class TestForkPath:
     def test_work_runs_in_child_processes(self):
         if not fork_available():  # pragma: no cover
             return
-        tagged = parallel_map(
+        tagged = supervised_map(
             _tag_with_pid, list(range(6)), workers=2, context=None
         )
         assert [payload for payload, _ in tagged] == list(range(6))

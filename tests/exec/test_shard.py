@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exec import plan_blocks, plan_shards, stable_key, substream
+from repro.exec import plan_shards, stable_key, substream
 
 
 class TestStableKey:
@@ -78,23 +78,3 @@ class TestPlanShards:
     def test_rejects_nonpositive_shards(self):
         with pytest.raises(ValueError, match="at least 1"):
             plan_shards(["a"], 0, key=str)
-
-
-class TestPlanBlocks:
-    def test_covers_every_index_once_in_order(self):
-        for total in (1, 2, 7, 64, 100):
-            for shards in (1, 2, 3, 8, 200):
-                blocks = plan_blocks(total, shards)
-                flat = [i for start, stop in blocks for i in range(start, stop)]
-                assert flat == list(range(total)), (total, shards)
-
-    def test_sizes_differ_by_at_most_one(self):
-        blocks = plan_blocks(100, 7)
-        sizes = [stop - start for start, stop in blocks]
-        assert max(sizes) - min(sizes) <= 1
-        assert len(blocks) == 7
-
-    def test_empty_and_invalid(self):
-        assert plan_blocks(0, 4) == []
-        with pytest.raises(ValueError, match="at least 1"):
-            plan_blocks(10, 0)

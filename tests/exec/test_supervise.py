@@ -20,7 +20,6 @@ from repro.exec import (
     ShardExecutionError,
     SupervisorConfig,
     fork_available,
-    parallel_map,
     supervised_map,
 )
 from repro.exec import supervise as supervise_module
@@ -280,15 +279,6 @@ class TestGenuineExceptions:
         assert excinfo.value.index == 2
         assert isinstance(excinfo.value.__cause__, ValueError)
         assert incidents == []
-
-    def test_parallel_map_wraps_worker_exceptions_too(self):
-        with pytest.raises(ShardExecutionError, match="index 2.*shard 2"):
-            parallel_map(
-                _boom,
-                list(range(4)),
-                workers=1,
-                describe=lambda payload: f"shard {payload}",
-            )
 
 
 class TestRetryAccounting:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro import sanitize
 from repro.checkpoint import config_fingerprint
 from repro.serve import (
     QueryEngine,
@@ -73,10 +74,15 @@ class TestImmutability:
             small_snapshot.epoch = 99
 
     def test_mappings_reject_writes(self, small_snapshot):
+        # Armed, the indexes are tripwire views that raise the
+        # sanitizer's violation; otherwise read-only proxies.
+        rejected = (
+            sanitize.SanitizerViolation if sanitize.enabled() else TypeError
+        )
         address = next(iter(small_snapshot.interfaces))
-        with pytest.raises(TypeError):
+        with pytest.raises(rejected):
             small_snapshot.interfaces[address] = None
-        with pytest.raises(TypeError):
+        with pytest.raises(rejected):
             small_snapshot.facility_tenants[0] = ()
 
     def test_entries_frozen(self, small_snapshot):
