@@ -16,8 +16,10 @@ if [[ "${1:-}" == "--fast" ]]; then
     fast=1
 fi
 
-echo "== substrate golden pins + MIDAR and routing references (fail fast, ~20 s) =="
-python -m pytest -x -q tests/measurement/test_substrate_golden.py tests/alias \
+echo "== substrate pins, trace codecs, MIDAR and routing references (fail fast, ~30 s) =="
+python -m pytest -x -q tests/measurement/test_substrate_golden.py \
+    tests/measurement/test_traceroute.py tests/core/test_columnar.py \
+    tests/core/test_columnar_reference.py tests/alias \
     tests/topology/test_routing_reference.py
 
 echo

@@ -29,7 +29,7 @@ from ..core.types import (
     LinkInference,
     PeeringKind,
 )
-from ..measurement.traceroute import TraceHop, Traceroute
+from ..measurement.traceroute import Traceroute
 from ..obs import MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,9 +101,15 @@ def encode_campaign_stage(
                 trace.src_asn,
                 trace.dst_address,
                 trace.reached,
+                # One [ttl, address, rtt, router] row per hop.
                 [
-                    [hop.ttl, hop.address, hop.rtt_ms, hop.router_id]
-                    for hop in trace.hops
+                    list(row)
+                    for row in zip(
+                        range(1, len(trace.addresses) + 1),
+                        trace.addresses,
+                        trace.rtts,
+                        trace.routers,
+                    )
                 ],
             ]
             for trace in traces
@@ -132,29 +138,23 @@ def decode_campaign_stage(
     """Rebuild ``(traces, issues, queries)`` without touching any engine.
 
     Decoding is pure, so a caller can validate every payload it needs
-    before it restores (or absorbs) a single counter.
+    before it restores (or absorbs) a single counter.  A hop's TTL is
+    its position in the trace, so rows whose TTLs do not count up from
+    1 are rejected.
     """
-    traces = [
-        Traceroute(
-            source_id=source_id,
-            platform=platform,
-            src_asn=src_asn,
-            dst_address=dst_address,
-            hops=tuple(
-                TraceHop(
-                    ttl=ttl,
-                    address=address,
-                    rtt_ms=rtt_ms,
-                    router_id=router_id,
-                )
-                for ttl, address, rtt_ms, router_id in hops
-            ),
-            reached=reached,
+    traces = []
+    for source_id, platform, src_asn, dst_address, reached, hops in (
+        payload["traces"]
+    ):
+        ttls, addresses, rtts, routers = zip(*hops) if hops else ((),) * 4
+        if ttls != tuple(range(1, len(hops) + 1)):
+            raise ValueError(f"trace to {dst_address}: TTLs do not count 1..n")
+        traces.append(
+            Traceroute(
+                source_id, platform, src_asn, dst_address,
+                addresses, rtts, routers, reached,
+            )
         )
-        for source_id, platform, src_asn, dst_address, reached, hops in (
-            payload["traces"]
-        )
-    ]
     engine_state = payload["engine"]
     issues = (
         int(engine_state["traces_issued"]),

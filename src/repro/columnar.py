@@ -1,20 +1,21 @@
 """Columnar trace codec: flat parallel arrays across the shard boundary.
 
 Campaign shard workers hand their traceroutes back to the parent
-process.  Pickling per-hop dataclasses pays one ``__reduce__``
-round-trip per hop; this module flattens a traceroute stream into
+process.  Pickling one tuple of boxed ints and floats per trace column
+pays per element; this module flattens a traceroute stream into
 parallel flat arrays — addresses as u32, RTTs as f64, hop offsets as
 u64 — that pickle as a handful of ``memcpy``-shaped buffers, and
-rebuilds the dataclasses on the parent side.
+rebuilds the traces on the parent side.
 
-The dataclass API stays the module boundary: :class:`TraceArrays` is a
-*codec target*, built from any objects shaped like
+The trace dataclass stays the module boundary: :class:`TraceArrays` is
+a *codec target*, built from any objects shaped like
 :class:`repro.measurement.traceroute.Traceroute` (duck-typed, so this
 module imports nothing from the inference tree and sits at layer 1 of
-R009's layering table) and rebuilt into them on request.  Field round-trips are
-exact: addresses/ASNs/TTLs are integers, RTTs are IEEE doubles stored
-in ``array('d')``, and ``None`` hops ride dedicated sentinels — the
-property test in ``tests/core/test_columnar.py`` pins every field.
+R009's layering table) and rebuilt into them on request.  Field
+round-trips are exact: addresses/ASNs are integers, RTTs are IEEE
+doubles stored in ``array('d')``, a hop's TTL is its position, and
+``None`` entries ride dedicated sentinels — the property test in
+``tests/core/test_columnar.py`` pins every field.
 
 Nothing here draws randomness or reads clocks; arrays are pure
 functions of the traces they flatten.
@@ -32,13 +33,13 @@ __all__ = [
     "TraceArrays",
 ]
 
-#: Sentinel for an unresponsive hop (``TraceHop.address is None``).
+#: Sentinel for an unresponsive hop (a ``None`` in ``Traceroute.addresses``).
 #: 255.255.255.255 is never allocated by the address pools; flattening
 #: a trace that really carries it raises rather than corrupting data.
 NO_ADDRESS = 0xFFFFFFFF
-#: Sentinel for ``TraceHop.router_id is None`` (ground-truth column).
+#: Sentinel for a ``None`` in ``Traceroute.routers`` (ground truth).
 NO_ROUTER = 0xFFFFFFFF
-#: Sentinel for ``TraceHop.rtt_ms is None``; NaN never equals itself,
+#: Sentinel for a ``None`` in ``Traceroute.rtts``; NaN never equals itself,
 #: so it can never collide with a real RTT sample.
 NO_RTT = float("nan")
 
@@ -50,7 +51,6 @@ class TraceArrays:
 
     * ``hop_address`` — u32, :data:`NO_ADDRESS` for ``*`` hops;
     * ``hop_rtt`` — f64, :data:`NO_RTT` (NaN) for missing samples;
-    * ``hop_ttl`` — u16;
     * ``hop_router`` — u32 ground-truth router id, :data:`NO_ROUTER`
       when absent (scoring only, like the field it mirrors).
 
@@ -71,7 +71,6 @@ class TraceArrays:
         "trace_offsets",
         "hop_address",
         "hop_rtt",
-        "hop_ttl",
         "hop_router",
         "src_asn",
         "dst_address",
@@ -84,7 +83,6 @@ class TraceArrays:
         self.trace_offsets = array("Q", [0])
         self.hop_address = array("I")
         self.hop_rtt = array("d")
-        self.hop_ttl = array("H")
         self.hop_router = array("I")
         self.src_asn = array("I")
         self.dst_address = array("I")
@@ -108,24 +106,23 @@ class TraceArrays:
         offsets = self.trace_offsets
         addresses = self.hop_address
         rtts = self.hop_rtt
-        ttls = self.hop_ttl
         routers = self.hop_router
         for trace in traces:
-            for hop in trace.hops:
-                address = hop.address
-                if address is None:
-                    address = NO_ADDRESS
-                elif address >= NO_ADDRESS:
-                    raise ValueError(
-                        f"address {address:#x} collides with the "
-                        f"NO_ADDRESS sentinel"
-                    )
-                addresses.append(address)
-                rtts.append(NO_RTT if hop.rtt_ms is None else hop.rtt_ms)
-                ttls.append(hop.ttl)
-                routers.append(
-                    NO_ROUTER if hop.router_id is None else hop.router_id
+            if NO_ADDRESS in trace.addresses:
+                raise ValueError(
+                    f"address {NO_ADDRESS:#x} collides with the "
+                    f"NO_ADDRESS sentinel"
                 )
+            # Wider values overflow the u32 column and raise there.
+            addresses.extend([
+                NO_ADDRESS if address is None else address
+                for address in trace.addresses
+            ])
+            rtts.extend([NO_RTT if rtt is None else rtt for rtt in trace.rtts])
+            routers.extend([
+                NO_ROUTER if router is None else router
+                for router in trace.routers
+            ])
             offsets.append(len(addresses))
             self.src_asn.append(trace.src_asn)
             self.dst_address.append(trace.dst_address)
@@ -150,39 +147,37 @@ class TraceArrays:
     # Rebuild codec (arrays -> dataclasses)
     # ------------------------------------------------------------------
 
-    def rebuild_all(self, trace_factory, hop_factory) -> list:
+    def rebuild_all(self, trace_factory) -> list:
         """Reconstruct every flattened trace, in flatten order, through
-        the given dataclass factories (kept injectable so this module
+        the given dataclass factory (kept injectable so this module
         imports nothing from the measurement layer).
 
-        One pass: every hop is built by a single comprehension over the
-        four hop columns, then each trace takes its hop slice by
-        ``trace_offsets``.  Factories are called positionally, as
-        ``hop_factory(ttl, address, rtt_ms, router_id)`` and
-        ``trace_factory(source_id, platform, src_asn, dst_address, hops,
-        reached)``.  Every field round-trips exactly: the property
-        tests in ``tests/core/test_columnar.py`` hold flatten → rebuild
-        to field-for-field equality, and
+        One pass per hop column turns sentinels back into ``None``, then
+        each trace takes its slice of every column by ``trace_offsets``.
+        The factory is called positionally, as ``trace_factory(
+        source_id, platform, src_asn, dst_address, addresses, rtts,
+        routers, reached)``.  Every field round-trips exactly: the
+        property tests in ``tests/core/test_columnar.py`` hold flatten →
+        rebuild to field-for-field equality, and
         ``tests/core/test_columnar_reference.py`` holds this pass to the
         per-trace reference loop.
         """
-        hops = tuple([
-            hop_factory(
-                ttl,
-                None if address == NO_ADDRESS else address,
-                # NaN is the None sentinel; a real sample equals itself.
-                rtt if rtt == rtt else None,
-                None if router == NO_ROUTER else router,
-            )
-            for ttl, address, rtt, router in zip(
-                self.hop_ttl, self.hop_address, self.hop_rtt, self.hop_router
-            )
+        addresses = tuple([
+            None if address == NO_ADDRESS else address
+            for address in self.hop_address
+        ])
+        # NaN is the None sentinel; a real sample equals itself.
+        rtts = tuple([rtt if rtt == rtt else None for rtt in self.hop_rtt])
+        routers = tuple([
+            None if router == NO_ROUTER else router
+            for router in self.hop_router
         ])
         offsets = self.trace_offsets
         return [
             trace_factory(
                 source_id, platform, src_asn, dst_address,
-                hops[start:stop], bool(reached),
+                addresses[start:stop], rtts[start:stop], routers[start:stop],
+                bool(reached),
             )
             for source_id, platform, src_asn, dst_address, reached, start, stop
             in zip(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from ..measurement.traceroute import TraceHop, Traceroute
+from ..measurement.traceroute import Traceroute
 from ..obs import Instrumentation
 from .facility_db import FacilityDatabase
 from .types import ObservedPeering, PeeringKind
@@ -57,84 +57,87 @@ class PeeringClassifier:
         parsed = 0
         for trace in traces:
             parsed += 1
-            for run in self._responsive_runs(trace):
+            addresses = trace.addresses
+            rtts = trace.rtts
+            for start, stop in self._responsive_runs(addresses):
                 self._scan_run(
-                    run, ip_to_asn, observations, dst_address=trace.dst_address
+                    addresses, rtts, start, stop, ip_to_asn, observations,
+                    dst_address=trace.dst_address,
                 )
         self._obs.count("classify.traces_parsed", parsed)
         return observations
 
     @staticmethod
-    def _responsive_runs(trace: Traceroute) -> list[list[TraceHop]]:
-        """Maximal sub-paths of consecutive responsive hops.
+    def _responsive_runs(
+        addresses: tuple[int | None, ...],
+    ) -> list[tuple[int, int]]:
+        """Maximal ``(start, stop)`` hop ranges of two or more
+        consecutive responsive hops.
 
         An unresponsive hop hides a router, so adjacency across it is
         unknown and any crossing spanning it must be discarded.
         """
-        runs: list[list[TraceHop]] = []
-        current: list[TraceHop] = []
-        for hop in trace.hops:
-            if hop.address is None:
-                if len(current) >= 2:
-                    runs.append(current)
-                current = []
-            else:
-                current.append(hop)
-        if len(current) >= 2:
-            runs.append(current)
+        runs: list[tuple[int, int]] = []
+        start = 0
+        for index, address in enumerate(addresses):
+            if address is None:
+                if index - start >= 2:
+                    runs.append((start, index))
+                start = index + 1
+        if len(addresses) - start >= 2:
+            runs.append((start, len(addresses)))
         return runs
 
     # ------------------------------------------------------------------
 
     def _scan_run(
         self,
-        run: list[TraceHop],
+        addresses: tuple[int | None, ...],
+        rtts: tuple[float | None, ...],
+        start: int,
+        stop: int,
         ip_to_asn: Mapping[int, int | None],
         observations: dict[tuple, ObservedPeering],
         dst_address: int | None = None,
     ) -> None:
-        index = 0
-        while index < len(run) - 1:
-            near = run[index]
-            middle = run[index + 1]
-            assert near.address is not None and middle.address is not None
-            middle_ixp = self._db.ixp_of_address(middle.address)
+        """Record every crossing among hops ``start:stop``, a run of
+        responsive hops."""
+        ixp_of_address = self._db.ixp_of_address
+        for index in range(start, stop - 1):
+            near = addresses[index]
+            middle = addresses[index + 1]
+            middle_ixp = ixp_of_address(middle)
             if middle_ixp is not None:
-                # Public peering candidate: (near, IXP hop, far).
-                if index + 2 < len(run):
-                    far = run[index + 2]
-                    assert far.address is not None
+                # Public peering candidate: (near, IXP hop, far).  The
+                # far border router is consumed as the IXP hop, and the
+                # scan continues from it.
+                if index + 2 < stop:
                     self._record_public(
-                        near.address,
-                        near.rtt_ms,
-                        middle.address,
-                        middle.rtt_ms,
-                        far.address,
+                        near,
+                        rtts[index],
+                        middle,
+                        rtts[index + 1],
+                        addresses[index + 2],
                         middle_ixp,
                         ip_to_asn,
                         observations,
                     )
-                # The far border router has been consumed as the IXP hop;
-                # continue scanning from it.
-                index += 1
                 continue
-            if middle.address == dst_address:
+            if middle == dst_address:
                 # The destination answers the echo from the probed
                 # address, not from its ingress interface — the crossing
                 # type (and the real ingress) is unobservable, so no
                 # constraint may be derived from this pair.
-                index += 1
                 continue
-            if self._db.ixp_of_address(near.address) is None:
+            if ixp_of_address(near) is None:
                 self._record_private(
-                    near.address,
-                    near.rtt_ms,
-                    middle.address,
-                    middle.rtt_ms,
+                    near,
+                    rtts[index],
+                    middle,
+                    rtts[index + 1],
                     ip_to_asn,
                     observations,
                 )
-            index += 1
 
     # ------------------------------------------------------------------
     # Record builders

@@ -259,10 +259,6 @@ class PeeringDBSnapshot:
         """The ``fac`` record for ``facility_id``, if present."""
         return self._fac_by_id.get(facility_id)
 
-    def facilities_of_as(self, asn: int) -> set[int]:
-        """netfac associations of one AS."""
-        return {row.facility_id for row in self.netfac if row.asn == asn}
-
     def facilities_of_ixp(self, ixp_id: int) -> set[int]:
         """ixfac associations of one IXP."""
         return {row.facility_id for row in self.ixfac if row.ixp_id == ixp_id}

@@ -24,10 +24,6 @@ class Fig3Result:
 
     rows: list[tuple[str, int, int]]  # (metro, facilities, ixps)
 
-    def metros_with_at_least(self, threshold: int) -> list[str]:
-        """Metros hosting at least ``threshold`` facilities."""
-        return [metro for metro, count, _ in self.rows if count >= threshold]
-
     @property
     def facility_to_ixp_ratio(self) -> float:
         """Mean facilities-per-IXP over metros hosting any IXP."""

@@ -25,7 +25,6 @@ property the tier-1 chaos smoke test pins down.
 
 from __future__ import annotations
 
-from dataclasses import replace as _dc_replace
 from random import Random
 from typing import TYPE_CHECKING
 
@@ -90,37 +89,28 @@ class FaultInjector:
     def perturb_trace(self, trace: "Traceroute") -> "Traceroute":
         """Apply per-hop loss and truncation to one finished traceroute.
 
-        Ground-truth ``router_id`` annotations are preserved on lost
+        Ground-truth ``routers`` annotations are preserved on lost
         hops (inference never reads them; scoring may).
         """
         plan = self.plan
-        if not trace.hops:
+        if not trace.addresses:
             return trace
-        hops = trace.hops
-        reached = trace.reached
-        changed = False
         if plan.trace_truncation > 0:
             rng = self._rng("trace_truncation")
             if rng.random() < plan.trace_truncation:
-                hops = hops[: rng.randrange(len(hops))]
-                reached = False
-                changed = True
+                trace = trace.truncated(rng.randrange(len(trace.addresses)))
                 self._count("fault.trace_truncated")
-        if plan.hop_loss > 0 and hops:
+        if plan.hop_loss > 0 and trace.addresses:
             rng = self._rng("hop_loss")
-            lossy = list(hops)
-            for index, hop in enumerate(lossy):
-                if hop.address is None or rng.random() >= plan.hop_loss:
-                    continue
-                lossy[index] = _dc_replace(hop, address=None, rtt_ms=None)
-                changed = True
-                self._count("fault.hop_lost")
-                if index == len(lossy) - 1:
-                    reached = False
-            hops = tuple(lossy)
-        if not changed:
-            return trace
-        return _dc_replace(trace, hops=tuple(hops), reached=reached)
+            lost = [
+                index
+                for index, address in enumerate(trace.addresses)
+                if address is not None and rng.random() < plan.hop_loss
+            ]
+            if lost:
+                self._count("fault.hop_lost", len(lost))
+                trace = trace.starred(lost)
+        return trace
 
     # ------------------------------------------------------------------
     # Live-platform faults (consulted per probe)

@@ -24,7 +24,7 @@ from .resilience import (
     RetryPolicy,
 )
 from .rtt import RttConfig, RttModel
-from .traceroute import TraceHop, Traceroute, TracerouteConfig, TracerouteEngine
+from .traceroute import Traceroute, TracerouteConfig, TracerouteEngine
 
 __all__ = [
     "ArchivePlatform",
@@ -46,7 +46,6 @@ __all__ = [
     "RttConfig",
     "RttModel",
     "TraceCorpus",
-    "TraceHop",
     "Traceroute",
     "TracerouteConfig",
     "TracerouteEngine",

@@ -133,10 +133,10 @@ class TraceCorpus:
 
     def observed_addresses(self) -> set[int]:
         """Every responsive hop address seen so far."""
-        addresses: set[int] = set()
+        seen: set[int] = set()
         for trace in self.traces:
-            addresses.update(trace.responsive_addresses())
-        return addresses
+            seen.update(trace.responsive_addresses())
+        return seen
 
 
 @dataclass(frozen=True, slots=True)

@@ -32,7 +32,7 @@ byte-identical output (see :mod:`repro.exec`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..columnar import TraceArrays
@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..faults.injector import FaultInjector
 
 __all__ = [
-    "TraceHop",
     "Traceroute",
     "TracerouteConfig",
     "TracerouteEngine",
@@ -57,30 +56,24 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class TraceHop:
-    """One line of traceroute output.
-
-    ``address`` is ``None`` for an unresponsive hop (``*``).  The
-    ground-truth ``router_id`` is carried for scoring only — inference
-    code must never read it.
-    """
-
-    ttl: int
-    address: int | None
-    rtt_ms: float | None
-    router_id: int | None = field(repr=False, default=None)
-
-
-@dataclass(frozen=True, slots=True)
 class Traceroute:
-    """One traceroute measurement.
+    """One traceroute measurement, stored as per-hop columns.
+
+    Hop *i* of the output (TTL ``i + 1``) is ``addresses[i]``,
+    ``rtts[i]`` and ``routers[i]``; the three tuples always have equal
+    length.  An unresponsive hop (``*``) has ``None`` for both its
+    address and its RTT.  The ground-truth ``routers`` column is
+    carried for scoring and churn censoring only — inference code must
+    never read it.
 
     Attributes:
         source_id: vantage-point identifier (platform-scoped).
         platform: name of the measurement platform.
         src_asn: AS hosting the vantage point.
         dst_address: probed destination.
-        hops: recorded hops in TTL order.
+        addresses: replying address per hop, in TTL order.
+        rtts: minimum RTT sample (ms) per hop.
+        routers: ground-truth router per hop.
         reached: whether the destination answered.
     """
 
@@ -88,35 +81,42 @@ class Traceroute:
     platform: str
     src_asn: int
     dst_address: int
-    hops: tuple[TraceHop, ...]
+    addresses: tuple[int | None, ...]
+    rtts: tuple[float | None, ...]
+    routers: tuple[int | None, ...]
     reached: bool
 
     def responsive_addresses(self) -> list[int]:
         """Addresses of responsive hops, in path order."""
-        return [hop.address for hop in self.hops if hop.address is not None]
+        return [address for address in self.addresses if address is not None]
 
-    def hop_triples(self) -> list[tuple[TraceHop, TraceHop, TraceHop]]:
-        """Consecutive responsive hop triples (for Step-1 parsing).
+    def truncated(self, hops: int) -> "Traceroute":
+        """The first ``hops`` hops of this trace, which then never
+        reaches its destination."""
+        return Traceroute(
+            self.source_id, self.platform, self.src_asn, self.dst_address,
+            self.addresses[:hops], self.rtts[:hops], self.routers[:hops],
+            False,
+        )
 
-        Triples never span an unresponsive hop: a star hides a router,
-        so adjacency across it is unknown.
-        """
-        triples = []
-        run: list[TraceHop] = []
-        for hop in self.hops:
-            if hop.address is None:
-                run = []
-                continue
-            run.append(hop)
-            if len(run) >= 3:
-                triples.append((run[-3], run[-2], run[-1]))
-        return triples
+    def starred(self, lost: list[int]) -> "Traceroute":
+        """This trace with the hops at ascending positions ``lost``
+        unanswered; a lost final hop means the destination went unheard."""
+        addresses = list(self.addresses)
+        rtts = list(self.rtts)
+        for index in lost:
+            addresses[index] = rtts[index] = None
+        return Traceroute(
+            self.source_id, self.platform, self.src_asn, self.dst_address,
+            tuple(addresses), tuple(rtts), self.routers,
+            self.reached and lost[-1] != len(addresses) - 1,
+        )
 
 
 def flatten_traces(traces) -> TraceArrays:
     """Flatten :class:`Traceroute` objects into columnar arrays.
 
-    The measurement-layer half of the columnar codec: dataclasses in,
+    The measurement-layer half of the columnar codec: traces in,
     :class:`repro.columnar.TraceArrays` out.  Pure and exact —
     :func:`rebuild_traces` restores field-identical objects.
     """
@@ -125,7 +125,7 @@ def flatten_traces(traces) -> TraceArrays:
 
 def rebuild_traces(arrays: TraceArrays) -> list[Traceroute]:
     """Rebuild :class:`Traceroute` objects from columnar arrays."""
-    return arrays.rebuild_all(Traceroute, TraceHop)
+    return arrays.rebuild_all(Traceroute)
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,35 +303,22 @@ class TracerouteEngine:
         if path is None:
             return self._finish(
                 Traceroute(
-                    source_id=source_id,
-                    platform=platform,
-                    src_asn=src.asn,
-                    dst_address=dst_address,
-                    hops=(),
-                    reached=False,
+                    source_id, platform, src.asn, dst_address, (), (), (), False
                 )
             )
 
         if len(path) == 1:
             # Destination address lives on the source router itself.
-            hop = TraceHop(
-                ttl=1,
-                address=dst_address,
-                rtt_ms=0.1,
-                router_id=src_router,
-            )
             return self._finish(
                 Traceroute(
-                    source_id=source_id,
-                    platform=platform,
-                    src_asn=src.asn,
-                    dst_address=dst_address,
-                    hops=(hop,),
-                    reached=True,
+                    source_id, platform, src.asn, dst_address,
+                    (dst_address,), (0.1,), (src_router,), True,
                 )
             )
 
-        hops: list[TraceHop] = []
+        addresses: list[int | None] = []
+        rtts: list[float | None] = []
+        routers: list[int] = []
         one_way_ms = self._rtt.config.access_ms / 2.0
         reached = False
         # Host/server targets sit on a LAN *behind* their router: the
@@ -350,12 +337,14 @@ class TracerouteEngine:
         min_sample_ms = self._rtt.min_sample_ms
         random = rng.random
         step = self._step
+        add_address = addresses.append
+        add_rtt = rtts.append
+        add_router = routers.append
         last_hop = path[-1]
         previous = src_router
-        # path[0] is the source router itself; it does not appear as a hop.
-        for ttl, router_hop in enumerate(path[1:], start=1):
-            if ttl > max_ttl:
-                break
+        # path[0] is the source router itself; it does not appear as a
+        # hop, and TTL is the hop's position plus one.
+        for router_hop in path[1 : max_ttl + 1]:
             router_id = router_hop.router_id
             one_way_ms += step(previous, router_id)
             previous = router_id
@@ -368,40 +357,25 @@ class TracerouteEngine:
                 address = router_hop.ingress_address
             if address is not None and random() < hop_loss_prob:
                 address = None
-            rtt: float | None = None
-            if address is not None:
-                rtt = min_sample_ms(one_way_ms, rng, samples)
-            hops.append(
-                TraceHop(
-                    ttl=ttl,
-                    address=address,
-                    rtt_ms=rtt,
-                    router_id=router_id,
-                )
+            add_address(address)
+            add_rtt(
+                None if address is None
+                else min_sample_ms(one_way_ms, rng, samples)
             )
+            add_router(router_id)
             if is_last and not host_target and address is not None:
                 reached = True
-        if host_target and hops and len(path) - 1 <= max_ttl:
+        if host_target and addresses and len(path) - 1 <= max_ttl:
             # The host's own echo, one hop behind its gateway router.
             one_way_ms += self._rtt.config.per_hop_processing_ms + 0.05
-            rtt = min_sample_ms(one_way_ms, rng, samples)
-            hops.append(
-                TraceHop(
-                    ttl=hops[-1].ttl + 1,
-                    address=dst_address,
-                    rtt_ms=rtt,
-                    router_id=path[-1].router_id,
-                )
-            )
+            add_address(dst_address)
+            add_rtt(min_sample_ms(one_way_ms, rng, samples))
+            add_router(last_hop.router_id)
             reached = True
         return self._finish(
             Traceroute(
-                source_id=source_id,
-                platform=platform,
-                src_asn=src.asn,
-                dst_address=dst_address,
-                hops=tuple(hops),
-                reached=reached,
+                source_id, platform, src.asn, dst_address,
+                tuple(addresses), tuple(rtts), tuple(routers), reached,
             )
         )
 
@@ -425,7 +399,9 @@ class TracerouteEngine:
         host_target = (
             dst_interface is not None and dst_interface.kind is InterfaceKind.HOST
         )
-        hops: list[TraceHop] = []
+        addresses: list[int | None] = []
+        rtts: list[float | None] = []
+        routers: list[int] = []
         reached = False
         for ttl in range(1, self.config.max_ttl + 1):
             flow_id = self._flow_id(src_router, dst_address, ttl)
@@ -457,23 +433,14 @@ class TracerouteEngine:
                 rtt = self._rtt.min_sample_ms(
                     one_way, rng, self.config.rtt_samples
                 )
-            hops.append(
-                TraceHop(
-                    ttl=ttl,
-                    address=address,
-                    rtt_ms=rtt,
-                    router_id=router_hop.router_id,
-                )
-            )
+            addresses.append(address)
+            rtts.append(rtt)
+            routers.append(router_hop.router_id)
             if reached:
                 break
         return Traceroute(
-            source_id=source_id,
-            platform=platform,
-            src_asn=src.asn,
-            dst_address=dst_address,
-            hops=tuple(hops),
-            reached=reached,
+            source_id, platform, src.asn, dst_address,
+            tuple(addresses), tuple(rtts), tuple(routers), reached,
         )
 
     def ingress_kind(self, address: int) -> InterfaceKind | None:

@@ -502,33 +502,28 @@ def plan_churn(
 def censor_trace(trace: Any, view: ChurnView) -> Any:
     """Truncate a traceroute at the first hop the churned world absorbs.
 
-    Duck-typed over any frozen trace with ``hops`` (each hop carrying
-    the ground-truth ``router_id``) and a ``reached`` flag — the same
-    shape the fault injector's truncation uses, so the measurement
-    layer needs no import from here.  A hop is absorbed when its router
-    is dark, or when the (previous hop, hop) pair crosses a flapped
-    link.  The link between the vantage point's own first router and
-    the first *recorded* hop is not visible in the hop list, so a flap
-    there passes uncensored — documented blind spot, matching real
-    traceroute semantics where the probe's first egress is implicit.
+    Duck-typed over any trace with a ground-truth ``routers`` column and
+    a ``truncated(hops)`` method — the same truncation the fault
+    injector uses, so the measurement layer needs no import from here.
+    A hop is absorbed when its router is dark, or when the (previous
+    hop, hop) pair crosses a flapped link.  The link between the vantage
+    point's own first router and the first *recorded* hop is not visible
+    in the hop list, so a flap there passes uncensored — documented
+    blind spot, matching real traceroute semantics where the probe's
+    first egress is implicit.
     """
-    if view.is_quiet or not trace.hops:
+    if view.is_quiet or not trace.routers:
         return trace
     previous: int | None = None
-    for index, hop in enumerate(trace.hops):
-        router_id = hop.router_id
+    for index, router_id in enumerate(trace.routers):
         if router_id in view.dark_routers:
-            return _truncated(trace, index)
+            return trace.truncated(index)
         if previous is not None:
             pair = (min(previous, router_id), max(previous, router_id))
             if pair in view.down_pairs:
-                return _truncated(trace, index)
+                return trace.truncated(index)
         previous = router_id
     return trace
-
-
-def _truncated(trace: Any, index: int) -> Any:
-    return _replace(trace, hops=trace.hops[:index], reached=False)
 
 
 def lagged_membership(

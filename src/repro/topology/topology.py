@@ -68,7 +68,6 @@ class Topology:
     # Derived indexes (populated by :meth:`finalize`).
     _adjacency: dict[int, list[Adjacency]] = field(default_factory=dict)
     _routers_by_asn: dict[int, list[int]] = field(default_factory=dict)
-    _links_by_asn: dict[int, list[int]] = field(default_factory=dict)
     _links_by_pair: dict[tuple[int, int], list[int]] = field(default_factory=dict)
     _as_neighbors: dict[int, dict[int, Relationship]] = field(default_factory=dict)
     _announced: LongestPrefixMatcher[int] = field(default_factory=LongestPrefixMatcher)
@@ -190,8 +189,6 @@ class Topology:
                     is_interconnection=True,
                 )
             )
-            self._links_by_asn.setdefault(link.asn_a, []).append(link.link_id)
-            self._links_by_asn.setdefault(link.asn_b, []).append(link.link_id)
             pair = (min(link.asn_a, link.asn_b), max(link.asn_a, link.asn_b))
             self._links_by_pair.setdefault(pair, []).append(link.link_id)
 
@@ -233,13 +230,6 @@ class Topology:
         """Router ids operated by an AS."""
         return self._routers_by_asn.get(asn, [])
 
-    def interconnections_of(self, asn: int) -> list[Interconnection]:
-        """All interconnections with ``asn`` as an endpoint."""
-        return [
-            self.interconnections[lid]
-            for lid in self._links_by_asn.get(asn, [])
-        ]
-
     def links_between(self, asn_a: int, asn_b: int) -> list[Interconnection]:
         """All interconnections between two ASes."""
         pair = (min(asn_a, asn_b), max(asn_a, asn_b))
@@ -279,10 +269,6 @@ class Topology:
             if neighbor not in providers and neighbor not in customers
         }
 
-    def interface_at(self, address: int) -> Interface:
-        """The interface record at ``address`` (KeyError if unknown)."""
-        return self.interfaces[address]
-
     def router_of_address(self, address: int) -> Router:
         """Ground-truth router owning ``address``."""
         return self.routers[self.interfaces[address].router_id]
@@ -302,10 +288,6 @@ class Topology:
     def announced_origin(self, address: int) -> int | None:
         """Longest-prefix-match origin ASN over announced prefixes."""
         return self._announced.lookup(address)
-
-    def announced_prefixes(self) -> LongestPrefixMatcher[int]:
-        """The announcement index itself (read-only by convention)."""
-        return self._announced
 
     def ixp_of_address(self, address: int) -> int | None:
         """IXP id whose peering LAN covers ``address``, if any."""

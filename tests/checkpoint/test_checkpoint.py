@@ -15,10 +15,13 @@ from repro.checkpoint import (
     atomic_write_json,
     canonical_json,
     config_fingerprint,
+    decode_campaign_stage,
+    encode_campaign_stage,
     sha256_hex,
 )
 from repro.checkpoint.store import MANIFEST_NAME, MANIFEST_SCHEMA
 from repro.core.pipeline import PipelineConfig
+from repro.measurement.traceroute import Traceroute
 from repro.obs import Instrumentation
 
 
@@ -92,6 +95,32 @@ class TestStoreRoundtrip:
         assert any("topology changed" in w for w in store.warnings)
         reloaded = CheckpointStore(tmp_path, "fp")
         assert reloaded.load_stage("topology") is None
+
+
+class TestCampaignStageCodec:
+    TRACES = [
+        Traceroute(
+            "vp", "atlas", 1, 9, (5, None, 9), (1.5, None, 3.0), (7, 8, 9), True
+        ),
+        Traceroute("vp", "lg", 2, 4, (), (), (), False),
+    ]
+
+    def test_hop_rows_round_trip(self):
+        issues = (2, {("vp", 9): 1, ("vp", 4): 1})
+        queries = ({2: 1}, 0.5)
+        payload = json.loads(
+            canonical_json(encode_campaign_stage(self.TRACES, issues, queries))
+        )
+        assert payload["traces"][0][5] == [
+            [1, 5, 1.5, 7], [2, None, None, 8], [3, 9, 3.0, 9]
+        ]
+        assert decode_campaign_stage(payload) == (self.TRACES, issues, queries)
+
+    def test_rows_out_of_ttl_order_rejected(self):
+        payload = encode_campaign_stage(self.TRACES, (0, {}), ({}, 0.0))
+        payload["traces"][0][5].reverse()
+        with pytest.raises(ValueError, match="TTLs"):
+            decode_campaign_stage(payload)
 
 
 class TestCorruptionDegradesToRecompute:

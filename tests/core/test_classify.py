@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.classify import PeeringClassifier
 from repro.core.types import PeeringKind
-from repro.measurement.traceroute import TraceHop, Traceroute
+from repro.measurement.traceroute import Traceroute
 
 from .conftest import A_SIDE, A_SIDE_2, B_BACKBONE, B_P2P, B_PORT, IXP_LAN
 
@@ -18,19 +18,15 @@ def trace(hops, src_asn=10, dst_address=0):
     the synthetic path reads as transit hops (no destination echo);
     tests of the echo rule pass the final hop explicitly.
     """
-    built = []
-    for ttl, item in enumerate(hops, start=1):
-        if item is None:
-            built.append(TraceHop(ttl, None, None))
-        else:
-            address, rtt = item
-            built.append(TraceHop(ttl, address, rtt))
+    pairs = [(None, None) if item is None else item for item in hops]
     return Traceroute(
         source_id="vp",
         platform="test",
         src_asn=src_asn,
         dst_address=dst_address,
-        hops=tuple(built),
+        addresses=tuple(address for address, _ in pairs),
+        rtts=tuple(rtt for _, rtt in pairs),
+        routers=(None,) * len(pairs),
         reached=True,
     )
 
@@ -42,6 +38,15 @@ MAPPING = {
     B_BACKBONE: 20,
     B_P2P: 20,  # repaired: operated by 20 though numbered from 10's space
 }
+
+
+class TestResponsiveRuns:
+    def test_runs_never_span_a_star(self):
+        addresses = (10, 20, 30, None, 50, None, 70, 80)
+        runs = PeeringClassifier._responsive_runs(addresses)
+        assert runs == [(0, 3), (6, 8)]
+        for start, stop in runs:
+            assert None not in addresses[start:stop]
 
 
 class TestPublicExtraction:

@@ -12,7 +12,6 @@ import pytest
 from repro.columnar import NO_ADDRESS, TraceArrays
 from repro.core.pipeline import PipelineConfig, build_environment
 from repro.measurement.traceroute import (
-    TraceHop,
     Traceroute,
     flatten_traces,
     rebuild_traces,
@@ -29,12 +28,9 @@ def _synthetic_traces() -> list[Traceroute]:
             platform="atlas",
             src_asn=64500,
             dst_address=0x0A000001,
-            hops=(
-                TraceHop(ttl=1, address=0x0A000002, rtt_ms=1.25, router_id=7),
-                TraceHop(ttl=2, address=None, rtt_ms=None, router_id=None),
-                TraceHop(ttl=3, address=0x0A000003, rtt_ms=None, router_id=9),
-                TraceHop(ttl=4, address=0x0A000001, rtt_ms=8.5, router_id=None),
-            ),
+            addresses=(0x0A000002, None, 0x0A000003, 0x0A000001),
+            rtts=(1.25, None, None, 8.5),
+            routers=(7, None, 9, None),
             reached=True,
         ),
         Traceroute(
@@ -42,7 +38,9 @@ def _synthetic_traces() -> list[Traceroute]:
             platform="lg",
             src_asn=64501,
             dst_address=0x0B000001,
-            hops=(),
+            addresses=(),
+            rtts=(),
+            routers=(),
             reached=False,
         ),
         Traceroute(
@@ -50,10 +48,9 @@ def _synthetic_traces() -> list[Traceroute]:
             platform="archive",
             src_asn=64502,
             dst_address=0x0C000001,
-            hops=(
-                TraceHop(ttl=1, address=None, rtt_ms=3.0, router_id=None),
-                TraceHop(ttl=2, address=0xFFFFFFFE, rtt_ms=0.0, router_id=0),
-            ),
+            addresses=(None, 0xFFFFFFFE),
+            rtts=(3.0, 0.0),
+            routers=(None, 0),
             reached=False,
         ),
     ]
@@ -66,9 +63,9 @@ class TestArrayRoundTrip:
         traces = _synthetic_traces()
         arrays = flatten_traces(traces)
         assert len(arrays) == len(traces)
-        assert arrays.total_hops == sum(len(t.hops) for t in traces)
+        assert arrays.total_hops == sum(len(t.addresses) for t in traces)
         rebuilt = rebuild_traces(arrays)
-        # Frozen dataclasses: == compares every field of every hop.
+        # Frozen dataclasses: == compares every column of every trace.
         assert rebuilt == traces
 
     def test_campaign_traces_round_trip(self):
@@ -84,9 +81,9 @@ class TestArrayRoundTrip:
             platform="atlas",
             src_asn=64500,
             dst_address=1,
-            hops=(
-                TraceHop(ttl=1, address=NO_ADDRESS, rtt_ms=1.0),
-            ),
+            addresses=(NO_ADDRESS,),
+            rtts=(1.0,),
+            routers=(None,),
             reached=False,
         )
         with pytest.raises(ValueError, match="NO_ADDRESS"):

@@ -13,7 +13,7 @@ from repro.faults import (
     VantagePointOutage,
 )
 from repro.measurement.platforms import VantagePoint
-from repro.measurement.traceroute import TraceHop, Traceroute
+from repro.measurement.traceroute import Traceroute
 
 
 def _vp(vp_id: str = "atlas-0", asn: int = 64500) -> VantagePoint:
@@ -29,16 +29,15 @@ def _vp(vp_id: str = "atlas-0", asn: int = 64500) -> VantagePoint:
 
 
 def _trace(n_hops: int = 6) -> Traceroute:
-    hops = tuple(
-        TraceHop(ttl=ttl, address=1000 + ttl, rtt_ms=float(ttl))
-        for ttl in range(1, n_hops + 1)
-    )
+    ttls = range(1, n_hops + 1)
     return Traceroute(
         source_id="atlas-0",
         platform="ripe-atlas",
         src_asn=64500,
         dst_address=9999,
-        hops=hops,
+        addresses=tuple(1000 + ttl for ttl in ttls),
+        rtts=tuple(float(ttl) for ttl in ttls),
+        routers=(None,) * n_hops,
         reached=True,
     )
 
@@ -92,15 +91,15 @@ class TestFaultInjector:
         traces = [_trace(n) for n in (3, 5, 8, 6, 4)] * 4
         first = FaultInjector(FaultPlan(hop_loss=0.5), seed=7)
         second = FaultInjector(FaultPlan(hop_loss=0.5), seed=7)
-        assert [first.perturb_trace(t).hops for t in traces] == [
-            second.perturb_trace(t).hops for t in traces
+        assert [first.perturb_trace(t) for t in traces] == [
+            second.perturb_trace(t) for t in traces
         ]
 
     def test_hop_loss_blanks_hops(self):
         injector = FaultInjector(FaultPlan(hop_loss=1.0), seed=0)
         perturbed = injector.perturb_trace(_trace())
-        assert all(hop.address is None for hop in perturbed.hops)
-        assert all(hop.rtt_ms is None for hop in perturbed.hops)
+        assert all(address is None for address in perturbed.addresses)
+        assert all(rtt is None for rtt in perturbed.rtts)
         assert not perturbed.reached
         assert injector.counts["fault.hop_lost"] == 6
 
@@ -108,7 +107,7 @@ class TestFaultInjector:
         injector = FaultInjector(FaultPlan(trace_truncation=1.0), seed=1)
         original = _trace()
         perturbed = injector.perturb_trace(original)
-        assert len(perturbed.hops) < len(original.hops)
+        assert len(perturbed.addresses) < len(original.addresses)
         assert not perturbed.reached
 
     def test_vp_outage_raises(self):

@@ -72,8 +72,8 @@ class TestParisSemantics:
         if not diverging:
             pytest.skip("no ECMP diversity in this seed")
         src, dst = diverging[0]
-        first = [h.router_id for h in engine.trace(src, dst).hops]
-        second = [h.router_id for h in engine.trace(src, dst).hops]
+        first = engine.trace(src, dst).routers
+        second = engine.trace(src, dst).routers
         assert first == second
 
     def test_paris_hops_form_real_adjacencies(self, small_topology):
@@ -88,13 +88,13 @@ class TestParisSemantics:
             dst = rng.choice(sorted(small_topology.interfaces))
             trace = engine.trace(src, dst)
             previous = src
-            for hop in trace.hops:
+            for router_id in trace.routers:
                 neighbors = {
                     adj.neighbor_router
                     for adj in small_topology.adjacencies(previous)
                 }
-                assert hop.router_id in neighbors or hop.router_id == previous
-                previous = hop.router_id
+                assert router_id in neighbors or router_id == previous
+                previous = router_id
 
     def test_classic_can_stitch_paths(self, small_topology):
         """Classic mode must exhibit the artifact Paris fixes: on some
@@ -113,14 +113,14 @@ class TestParisSemantics:
         for src, dst in diverging:
             trace = engine.trace(src, dst)
             previous = src
-            for hop in trace.hops:
+            for router_id in trace.routers:
                 neighbors = {
                     adj.neighbor_router
                     for adj in small_topology.adjacencies(previous)
                 }
-                if hop.router_id not in neighbors and hop.router_id != previous:
+                if router_id not in neighbors and router_id != previous:
                     artifact_found = True
-                previous = hop.router_id
+                previous = router_id
             if artifact_found:
                 break
         assert artifact_found

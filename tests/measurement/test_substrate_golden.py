@@ -20,7 +20,8 @@ import hashlib
 
 import pytest
 
-from repro.checkpoint import config_fingerprint
+from repro.checkpoint import config_fingerprint, encode_campaign_stage
+from repro.checkpoint.atomic import canonical_json
 from repro.core import PipelineConfig, build_environment
 from repro.faults import FaultPlan
 from repro.measurement.traceroute import TracerouteConfig, TracerouteEngine
@@ -28,9 +29,16 @@ from repro.obs import Instrumentation
 from repro.serve import MapService, build_snapshot
 from repro.topology.churn import ChurnConfig, plan_churn
 
-#: sha256 over every initial-campaign trace and hop (TTL, address, rtt repr).
+#: sha256 over every initial-campaign trace and hop (TTL, address, rtt repr);
+#: a hop's TTL is its position in the trace plus one.
 CORPUS_SHA256 = "32cab2df3fdc07926df7769332ac944b1a24239467e7a936553cfdaa20d10555"
 CORPUS_TRACES = 2843
+#: sha256 of the checkpoint payload for that campaign: the canonical JSON
+#: of ``encode_campaign_stage`` (traces with their ``[ttl, address, rtt,
+#: router]`` hop rows, plus the engine and looking-glass accounting).
+CAMPAIGN_STAGE_SHA256 = (
+    "d227831350b919ee686354850de59402e64fbe7414897903b4203776fe212b98"
+)
 #: MIDAR over the corpus's responsive addresses on a fresh environment.
 ALIAS_SHA256 = "ce1dba0ffb0b867bf558c93b1e2be976cd3b369bdc8e7d9226bf885e419e2204"
 ALIAS_SETS = 140
@@ -94,8 +102,10 @@ def _corpus_digest(traces) -> str:
             f"{trace.source_id}|{trace.platform}|{trace.src_asn}|"
             f"{trace.dst_address}|{trace.reached}\n".encode()
         )
-        for hop in trace.hops:
-            digest.update(f"{hop.ttl} {hop.address} {hop.rtt_ms!r}\n".encode())
+        for ttl, (address, rtt) in enumerate(
+            zip(trace.addresses, trace.rtts), start=1
+        ):
+            digest.update(f"{ttl} {address} {rtt!r}\n".encode())
     return digest.hexdigest()
 
 
@@ -118,6 +128,12 @@ def batch_run():
     env = build_environment(config=_config())
     corpus = env.run_campaign()
     initial = list(corpus.traces)
+    stage = encode_campaign_stage(
+        initial,
+        env.engine.issue_baseline(),
+        env.platforms.looking_glasses.query_state(),
+    )
+    stage_sha256 = hashlib.sha256(canonical_json(stage)).hexdigest()
     result = env.run_cfs(corpus)
     snapshot = build_snapshot(
         result,
@@ -127,17 +143,21 @@ def batch_run():
         config_fingerprint=config_fingerprint(env.config),
         traces_ingested=len(corpus),
     )
-    return initial, snapshot
+    return initial, snapshot, stage_sha256
 
 
 class TestSubstrateGolden:
     def test_initial_campaign_corpus(self, batch_run):
-        initial, _ = batch_run
+        initial, _, _ = batch_run
         assert len(initial) == CORPUS_TRACES
         assert _corpus_digest(initial) == CORPUS_SHA256
 
+    def test_initial_campaign_checkpoint_payload(self, batch_run):
+        _, _, stage_sha256 = batch_run
+        assert stage_sha256 == CAMPAIGN_STAGE_SHA256
+
     def test_midar_over_corpus_addresses(self, batch_run):
-        initial, _ = batch_run
+        initial, _, _ = batch_run
         addresses = _corpus_addresses(initial)
         # A fresh environment: the IP-ID responder is stateful, and the
         # batch run above already probed the shared one.
@@ -147,7 +167,7 @@ class TestSubstrateGolden:
         assert _alias_digest(alias_sets) == ALIAS_SHA256
 
     def test_midar_refresh_reuses_pair_verdicts(self, batch_run):
-        initial, _ = batch_run
+        initial, _, _ = batch_run
         addresses = _corpus_addresses(initial)
         obs = Instrumentation()
         midar = build_environment(config=_config()).new_midar(instrumentation=obs)
@@ -160,7 +180,7 @@ class TestSubstrateGolden:
         )
 
     def test_midar_with_alias_false_negatives(self, batch_run):
-        initial, _ = batch_run
+        initial, _, _ = batch_run
         config = dataclasses.replace(
             _config(), faults=FaultPlan(alias_false_negative=0.03)
         )
@@ -174,7 +194,7 @@ class TestSubstrateGolden:
         )
 
     def test_batch_final_fingerprint(self, batch_run):
-        _, snapshot = batch_run
+        _, snapshot, _ = batch_run
         assert snapshot.fingerprint == BATCH_FINGERPRINT
 
     def test_classic_traceroute_grid(self):

@@ -13,7 +13,7 @@ from repro.experiments.context import clone_corpus, experiment_environment
 from repro.experiments.formatting import format_table
 from repro.export import interface_record
 from repro.measurement.campaign import TraceCorpus
-from repro.measurement.traceroute import TraceHop, Traceroute
+from repro.measurement.traceroute import Traceroute
 from repro.topology.addressing import MAX_IPV4
 
 
@@ -90,7 +90,9 @@ class TestContextHelpers:
             platform="p",
             src_asn=1,
             dst_address=5,
-            hops=(TraceHop(1, 5, 1.0),),
+            addresses=(5,),
+            rtts=(1.0,),
+            routers=(None,),
             reached=True,
         )
         corpus.add(trace)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.measurement.traceroute import TraceHop, Traceroute
+from repro.measurement.traceroute import Traceroute
 from repro.topology.churn import (
     AS_ENTER,
     AS_LEAVE,
@@ -33,10 +33,9 @@ def _trace(hops, reached=True):
         platform="synthetic",
         src_asn=1,
         dst_address=99,
-        hops=tuple(
-            TraceHop(ttl=i + 1, address=100 + r, rtt_ms=1.0, router_id=r)
-            for i, r in enumerate(hops)
-        ),
+        addresses=tuple(100 + r for r in hops),
+        rtts=(1.0,) * len(hops),
+        routers=tuple(hops),
         reached=reached,
     )
 
@@ -182,7 +181,7 @@ class TestCensorTrace:
         dark = next(iter(view.dark_routers))
         bright = max(small_topology.routers) + 1
         censored = censor_trace(_trace([bright, dark, bright + 1]), view)
-        assert len(censored.hops) == 1
+        assert len(censored.addresses) == 1
         assert censored.reached is False
 
     def test_down_pair_truncates_at_crossing(self, small_topology):
@@ -195,8 +194,8 @@ class TestCensorTrace:
         view = apply_events(small_topology, events, 0)
         a, b = link.router_a, link.router_b
         censored = censor_trace(_trace([a, b]), view)
-        assert len(censored.hops) == 1
+        assert len(censored.addresses) == 1
         assert censored.reached is False
         # The pair is undirected: the reverse crossing censors too.
         reverse = censor_trace(_trace([b, a]), view)
-        assert len(reverse.hops) == 1
+        assert len(reverse.addresses) == 1
