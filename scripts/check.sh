@@ -16,11 +16,12 @@ if [[ "${1:-}" == "--fast" ]]; then
     fast=1
 fi
 
-echo "== substrate pins, trace codecs, MIDAR and routing references (fail fast, ~30 s) =="
+echo "== substrate pins, trace codecs, Step 1, engine identity, MIDAR and routing references (fail fast, ~1 min) =="
 python -m pytest -x -q tests/measurement/test_substrate_golden.py \
     tests/measurement/test_traceroute.py tests/core/test_columnar.py \
-    tests/core/test_columnar_reference.py tests/alias \
-    tests/topology/test_routing_reference.py
+    tests/core/test_columnar_reference.py tests/core/test_classify.py \
+    tests/core/test_crossing_reference.py tests/core/test_incremental.py \
+    tests/alias tests/topology/test_routing_reference.py
 
 echo
 echo "== tier-1 test suite =="

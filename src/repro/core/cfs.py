@@ -55,7 +55,12 @@ from ..measurement.campaign import CampaignDriver, TraceCorpus
 from ..measurement.platforms import MeasurementPlatform
 from ..obs import Instrumentation
 from .alias_constraints import propagate_alias_constraints
-from .classify import PeeringClassifier
+from .classify import (
+    CrossingBatch,
+    CrossingTally,
+    PeeringClassifier,
+    fold_crossings,
+)
 from .constrain import InitialFacilitySearch
 from .facility_db import FacilityDatabase
 from .farside import LinkFinalizer
@@ -70,6 +75,9 @@ from .types import (
     ObservedPeering,
     PeeringKind,
 )
+
+_UNRESOLVED_LOCAL = InterfaceStatus.UNRESOLVED_LOCAL
+_UNRESOLVED_REMOTE = InterfaceStatus.UNRESOLVED_REMOTE
 
 __all__ = ["CfsConfig", "ConstrainedFacilitySearch", "FOLLOWUP_STRATEGIES"]
 
@@ -209,11 +217,14 @@ class ConstrainedFacilitySearch:
         #: Extraction frontier (the full-rescan engine rewinds it to 0
         #: on every alias refresh).
         self._parsed_traces = 0
-        self._observations: dict[tuple, ObservedPeering] = {}
+        #: Step 1's crossings, one running tally per key in order of
+        #: first sighting; Step 2 and link finalisation read each
+        #: through :meth:`CrossingTally.freeze`.
+        self._observations: dict[tuple, CrossingTally] = {}
         #: Incremental engine: per-trace extraction cache (``None`` for
         #: traces yielding no crossing, which is most of them — keeps
         #: the cache light for the garbage collector).
-        self._trace_records: list[dict[tuple, ObservedPeering] | None] = []
+        self._trace_records: list[CrossingBatch | None] = []
         #: Observation keys whose constraints currently conflict; the
         #: full-rescan loop re-counts such conflicts every iteration, so
         #: the incremental engine keeps re-applying them.
@@ -240,13 +251,17 @@ class ConstrainedFacilitySearch:
         for iteration in range(1, self.config.max_iterations + 1):
             changed, applied, traces_parsed = self.step(corpus)
             states = self._states
+            # Follow-ups only add traces, so these counts hold until the
+            # next step: they feed both Step 4 and the stop rule.
+            counts = self._status_counts(states)
+            unresolved = counts[_UNRESOLVED_LOCAL] + counts[_UNRESOLVED_REMOTE]
 
             # --- Step 4: targeted follow-ups ----------------------------
             plans = []
             if (
                 self.config.use_followups
                 and self._driver is not None
-                and self._has_unresolved(states)
+                and unresolved
             ):
                 with obs.stage("followup"):
                     plans = self._planner.plan(
@@ -262,7 +277,7 @@ class ConstrainedFacilitySearch:
             history.append(
                 self._snapshot(
                     iteration,
-                    states,
+                    counts,
                     len(plans),
                     observations_total=len(self._observations),
                     observations_applied=applied,
@@ -277,7 +292,7 @@ class ConstrainedFacilitySearch:
                 applied=applied,
                 followups=len(plans),
             )
-            if not self._has_unresolved(states) and not self._has_missing(states):
+            if not unresolved and not counts[InterfaceStatus.MISSING_DATA]:
                 break
             if not changed and not plans:
                 break
@@ -360,63 +375,48 @@ class ConstrainedFacilitySearch:
 
         # --- Step 1: (re)extract crossings ------------------------------
         with obs.stage("extract"):
-            traces_parsed = 0
-            dirty: set[tuple] | None
+            dirty: set[tuple] | None = None
+            reparsed = 0
             if incremental:
                 if refreshed:
                     reparsed = self._reparse_moved(corpus, previous_mapping)
-                    traces_parsed += reparsed
                     if reparsed:
                         self._observations = self._rebuild_observations(
                             self._trace_records
                         )
                     # Post-refresh, revisit every crossing once —
                     # the full-rescan engine does the same pass.
-                    dirty = None
                 else:
                     dirty = set(self._sticky_conflicts)
-                merge = PeeringClassifier.merge
-                new_keys: set[tuple] = set()
-                fresh_indices = range(self._parsed_traces, len(corpus.traces))
-                for records in self._extract_many(corpus, fresh_indices):
-                    self._trace_records.append(records)
-                    traces_parsed += 1
-                    if records is None:
-                        continue
-                    for record in records.values():
-                        merge(self._observations, record)
-                    new_keys.update(records)
-                if dirty is not None:
-                    dirty |= new_keys
-            else:
-                traces_parsed = len(corpus.traces) - self._parsed_traces
-                self._classifier.extract(
-                    corpus.traces[self._parsed_traces:],
-                    self._mapping,
-                    into=self._observations,
-                )
-                dirty = None
+            observations = self._observations
+            batches = self._classifier.parse(
+                corpus.traces[self._parsed_traces:], self._mapping
+            )
+            for batch in batches:
+                if batch is not None:
+                    fold_crossings(observations, batch)
+                    if dirty is not None:
+                        dirty.update([key for key, _ in batch])
+            if incremental:
+                self._trace_records.extend(batches)
+            traces_parsed = reparsed + len(batches)
             self._parsed_traces = len(corpus.traces)
 
         # --- Step 2: initial facility search ----------------------------
         with obs.stage("constrain"):
             changed = False
             applied = 0
-            observations = self._observations
-            if dirty is None:
-                for observation in observations.values():
-                    applied += 1
-                    if self._apply_observation(observation, incremental):
-                        changed = True
-            elif dirty:
+            if dirty is None or dirty:
                 # Dict order is first-appearance order; walking the
                 # dict (not the dirty set) keeps application order
                 # identical to the full-rescan engine.
-                for key, observation in observations.items():
-                    if key not in dirty:
+                for key, tally in observations.items():
+                    if dirty is not None and key not in dirty:
                         continue
                     applied += 1
-                    if self._apply_observation(observation, incremental):
+                    if self._apply_observation(
+                        key, tally.freeze(), incremental
+                    ):
                         changed = True
             obs.count("cfs.observations_applied", applied)
             obs.count("cfs.observations_skipped", len(observations) - applied)
@@ -442,7 +442,10 @@ class ConstrainedFacilitySearch:
         fills those in.
         """
         links = LinkFinalizer(self._db, proximity).finalize(
-            self._observations,
+            {
+                key: tally.freeze()
+                for key, tally in self._observations.items()
+            },
             self._states,
             use_proximity=self.config.use_proximity,
         )
@@ -459,23 +462,6 @@ class ConstrainedFacilitySearch:
     # ------------------------------------------------------------------
     # Incremental-engine helpers
     # ------------------------------------------------------------------
-
-    def _extract_many(
-        self, corpus: TraceCorpus, indices
-    ) -> list[dict[tuple, ObservedPeering] | None]:
-        """Extract many traces by index, in process.
-
-        Each trace's crossings form an isolated (cacheable) record
-        batch; ``None`` stands for "no crossings" so the cache holds no
-        empty dicts (most traces cross no peering).
-        """
-        traces = corpus.traces
-        mapping = self._mapping
-        extract = self._classifier.extract
-        return [
-            extract([traces[index]], mapping, into={}) or None
-            for index in indices
-        ]
 
     def _reparse_moved(
         self,
@@ -503,10 +489,11 @@ class ConstrainedFacilitySearch:
             for index in range(len(trace_records))
             if not disjoint(traces[index].responsive_addresses())
         ]
-        for index, records in zip(
-            touched, self._extract_many(corpus, touched)
-        ):
-            trace_records[index] = records
+        batches = self._classifier.parse(
+            [traces[index] for index in touched], self._mapping
+        )
+        for index, batch in zip(touched, batches):
+            trace_records[index] = batch
         reparsed = len(touched)
         self._obs.count("cfs.traces_reparsed", reparsed)
         self._obs.count(
@@ -516,25 +503,23 @@ class ConstrainedFacilitySearch:
 
     @staticmethod
     def _rebuild_observations(
-        trace_records: list[dict[tuple, ObservedPeering] | None],
-    ) -> dict[tuple, ObservedPeering]:
-        """Merge per-trace record batches back into one crossing dict.
+        trace_records: list[CrossingBatch | None],
+    ) -> dict[tuple, CrossingTally]:
+        """Fold the per-trace batches back into one crossing dict, in
+        one pass.
 
-        Merging batches in trace order reproduces the dict a full
-        re-parse would build — same records, same insertion order — so
-        downstream link finalisation stays byte-identical.
+        Folding batches in trace order reproduces the dict a full
+        re-parse would build — same keys, same insertion order, same
+        totals — so downstream link finalisation stays byte-identical.
         """
-        rebuilt: dict[tuple, ObservedPeering] = {}
-        merge = PeeringClassifier.merge
-        for records in trace_records:
-            if records is None:
-                continue
-            for record in records.values():
-                merge(rebuilt, record)
+        rebuilt: dict[tuple, CrossingTally] = {}
+        for batch in trace_records:
+            if batch is not None:
+                fold_crossings(rebuilt, batch)
         return rebuilt
 
     def _apply_observation(
-        self, observation: ObservedPeering, track_conflicts: bool
+        self, key: tuple, observation: ObservedPeering, track_conflicts: bool
     ) -> bool:
         """Step-2 application, optionally tracking conflicting keys.
 
@@ -566,7 +551,6 @@ class ConstrainedFacilitySearch:
             for address in involved
             if address in states
         )
-        key = observation.key()
         if after > before:
             self._sticky_conflicts.add(key)
         else:
@@ -576,35 +560,29 @@ class ConstrainedFacilitySearch:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _has_unresolved(states: dict[int, InterfaceState]) -> bool:
-        return any(
-            state.status
-            in (InterfaceStatus.UNRESOLVED_LOCAL, InterfaceStatus.UNRESOLVED_REMOTE)
-            for state in states.values()
-        )
+    def _status_counts(
+        states: dict[int, InterfaceState],
+    ) -> dict[InterfaceStatus, int]:
+        """How many interfaces hold each status, in one walk.
 
-    @staticmethod
-    def _has_missing(states: dict[int, InterfaceState]) -> bool:
-        return any(
-            state.status is InterfaceStatus.MISSING_DATA
-            for state in states.values()
-        )
+        ``list.count`` compares by identity first, so no status is
+        hashed per interface.
+        """
+        statuses = [state.status for state in states.values()]
+        return {status: statuses.count(status) for status in InterfaceStatus}
 
     @staticmethod
     def _snapshot(
         iteration: int,
-        states: dict[int, InterfaceState],
+        counts: dict[InterfaceStatus, int],
         followups: int,
         observations_total: int = 0,
         observations_applied: int = 0,
         traces_parsed: int = 0,
     ) -> IterationStats:
-        counts = {status: 0 for status in InterfaceStatus}
-        for state in states.values():
-            counts[state.status] += 1
         return IterationStats(
             iteration=iteration,
-            total_interfaces=len(states),
+            total_interfaces=sum(counts.values()),
             resolved=counts[InterfaceStatus.RESOLVED],
             unresolved_local=counts[InterfaceStatus.UNRESOLVED_LOCAL],
             unresolved_remote=counts[InterfaceStatus.UNRESOLVED_REMOTE],

@@ -176,14 +176,17 @@ _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 class _AttrIndex:
     """Project-wide attribute-annotation index for set inference.
 
-    Any ``name: set[...]`` / ``name: frozenset[...]`` annotation in the
-    tree (dataclass field, class attribute, ``self.name`` in an
-    ``__init__``) marks that attribute name as set-typed wherever it is
-    read; ``name: dict[..., set[...]]`` marks it as a set-valued
-    mapping, so ``obj.name[key]`` and ``obj.name.get(key, ...)`` are
-    sets too.  Indexing by bare attribute name (not class-qualified) is
-    a deliberate overapproximation — the repository names set-typed
-    fields consistently, and a rare collision is one suppression away.
+    Any ``name: set[...]`` / ``name: frozenset[...]`` attribute
+    annotation in the tree (dataclass field or class attribute in a
+    class body, ``self.name`` anywhere) marks that attribute name as
+    set-typed wherever it is read; ``name: dict[..., set[...]]`` marks
+    it as a set-valued mapping, so ``obj.name[key]`` and
+    ``obj.name.get(key, ...)`` are sets too.  An annotated local or
+    module-level name is not an attribute: :class:`_SetTyping` types it
+    within its own scope only.  Indexing by bare attribute name (not
+    class-qualified) is a deliberate overapproximation — the repository
+    names set-typed fields consistently, and a rare collision is one
+    suppression away.
     """
 
     def __init__(self, project: Project) -> None:
@@ -202,23 +205,22 @@ class _AttrIndex:
                         node.returns
                     ):
                         self.set_returning.add(node.name)
-                    continue
-                if not isinstance(node, ast.AnnAssign):
-                    continue
-                target = node.target
-                name = (
-                    target.id
-                    if isinstance(target, ast.Name)
-                    else target.attr
-                    if isinstance(target, ast.Attribute)
-                    else None
-                )
-                if name is None:
-                    continue
-                if _is_set_annotation(node.annotation):
-                    self.set_attrs.add(name)
-                elif _is_dict_of_set_annotation(node.annotation):
-                    self.mapping_attrs.add(name)
+                elif isinstance(node, ast.ClassDef):
+                    for statement in node.body:
+                        if isinstance(statement, ast.AnnAssign) and (
+                            isinstance(statement.target, ast.Name)
+                        ):
+                            self._index(statement.target.id, statement)
+                elif isinstance(node, ast.AnnAssign) and isinstance(
+                    node.target, ast.Attribute
+                ):
+                    self._index(node.target.attr, node)
+
+    def _index(self, name: str, node: ast.AnnAssign) -> None:
+        if _is_set_annotation(node.annotation):
+            self.set_attrs.add(name)
+        elif _is_dict_of_set_annotation(node.annotation):
+            self.mapping_attrs.add(name)
 
 
 class _SetTyping:

@@ -267,6 +267,35 @@ def test_r003_infers_set_typed_attributes_project_wide(tmp_path):
     assert rule_ids(result) == ["R003"]
 
 
+def test_r003_local_annotation_is_not_an_attribute(tmp_path):
+    # A function-local `seen: set[int]` types `seen` in its own scope
+    # only; it must not make every `obj.seen` in the tree set-typed.
+    (tmp_path / "walk.py").write_text(
+        textwrap.dedent(
+            """
+            def distinct(items):
+                seen: set[int] = set()
+                for item in items:
+                    seen.add(item)
+                return len(seen)
+            """
+        ),
+        encoding="utf-8",
+    )
+    result = lint_source(
+        tmp_path,
+        """
+        class Path:
+            def __init__(self, hops: tuple):
+                self.seen = hops
+
+            def labels(self):
+                return [f"hop-{hop}" for hop in self.seen]
+        """,
+    )
+    assert rule_ids(result) == []
+
+
 def test_r003_infers_dict_of_set_lookups(tmp_path):
     result = lint_source(
         tmp_path,

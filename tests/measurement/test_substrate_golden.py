@@ -66,6 +66,20 @@ FAULTED_FALSE_NEGATIVES = 17
 BATCH_FINGERPRINT = (
     "619370b77b9baf62cf403d7c015194676fae8d0bbf9e68a7941e276a717e38d5"
 )
+#: Batch map fingerprints beyond the seed-0 small world: (scale, seed).
+#: Both CFS engines share Step 1's crossing fold, so engine identity
+#: alone cannot catch a fold bug; these pin its output directly.
+MORE_BATCH_FINGERPRINTS = {
+    ("small", 3): (
+        "a346969a644e297395d6cacf9a6821540e6b765bbaa187601d61024d60c670c7"
+    ),
+    ("small", 4): (
+        "da3f298ae4d8d65f4e52ff7c267398f53a609518009951ef046afa5329a78391"
+    ),
+    ("default", 0): (
+        "46b9ce931ccd1a3b587c8a71e1e362389fd4de8ef7bddd198d40366b3d5a28c6"
+    ),
+}
 #: Classic (non-Paris) traceroute over a fixed grid of sources x targets.
 CLASSIC_SHA256 = "fa0e55c2a0183957232b66b4bc2d476e294bb892d8105ebd0421840231430859"
 #: Per-epoch fingerprints of the classic stream (4 epochs): the interim
@@ -122,6 +136,18 @@ def _alias_digest(alias_sets) -> str:
     return digest.hexdigest()
 
 
+def _batch_snapshot(env, corpus):
+    """The final snapshot of a converged CFS run over ``corpus``."""
+    return build_snapshot(
+        env.run_cfs(corpus),
+        epoch=0,
+        final=True,
+        seed=env.config.seed,
+        config_fingerprint=config_fingerprint(env.config),
+        traces_ingested=len(corpus),
+    )
+
+
 @pytest.fixture(scope="module")
 def batch_run():
     """Initial campaign and converged CFS over one fresh environment."""
@@ -134,15 +160,7 @@ def batch_run():
         env.platforms.looking_glasses.query_state(),
     )
     stage_sha256 = hashlib.sha256(canonical_json(stage)).hexdigest()
-    result = env.run_cfs(corpus)
-    snapshot = build_snapshot(
-        result,
-        epoch=0,
-        final=True,
-        seed=env.config.seed,
-        config_fingerprint=config_fingerprint(env.config),
-        traces_ingested=len(corpus),
-    )
+    snapshot = _batch_snapshot(env, corpus)
     return initial, snapshot, stage_sha256
 
 
@@ -196,6 +214,16 @@ class TestSubstrateGolden:
     def test_batch_final_fingerprint(self, batch_run):
         _, snapshot, _ = batch_run
         assert snapshot.fingerprint == BATCH_FINGERPRINT
+
+    @pytest.mark.parametrize(
+        ("scale", "seed"), sorted(MORE_BATCH_FINGERPRINTS)
+    )
+    def test_more_batch_fingerprints(self, scale, seed):
+        env = build_environment(
+            config=PipelineConfig.for_scale(scale, seed=seed)
+        )
+        snapshot = _batch_snapshot(env, env.run_campaign())
+        assert snapshot.fingerprint == MORE_BATCH_FINGERPRINTS[(scale, seed)]
 
     def test_classic_traceroute_grid(self):
         topology = build_environment(config=_config()).topology
